@@ -1,7 +1,8 @@
 // Reproduces Figures 9 & 10 (Appendix A.3): simulator estimates vs
 // "measured" values, per model and schedule. The measured side is the
 // hardware-model simulator (deterministic backend/dispatch perturbations of
-// the analytical estimate) standing in for real TPUs — see DESIGN.md. The
+// the analytical estimate) standing in for real TPUs, because this
+// reproduction runs on a CPU-simulated mesh with no accelerators. The
 // reproduction target is the *relative* fidelity the paper reports: errors
 // small, memory preferentially over-estimated.
 #include "bench/bench_util.h"

@@ -1,10 +1,10 @@
-// Throughput of the SPMD runtimes and the partition cache.
+// Throughput of the SPMD runtime and the partition cache.
 //
 // Part 1: Executable::Run wall-clock vs thread count on an 8-device mesh
-// (1 = the sequential reference walker; 8 = one thread per device). The
-// workload is a compute-heavy batch-parallel matmul chain, so the async
-// runtime's speedup tracks available host cores (reported as
-// host_threads).
+// (1 = the devices one after another on the calling thread; 8 = one thread
+// per device). The workload is a compute-heavy batch-parallel matmul
+// chain, so the threaded runtime's speedup tracks available host cores
+// (reported as host_threads).
 //
 // Part 2: Program::Partition latency cold (cache miss, full pipeline) vs
 // warm (cache hit, clone of the memoized module) on a transformer

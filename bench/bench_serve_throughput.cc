@@ -9,9 +9,9 @@
 //
 // A second summary compares serving tail latency with the executable's
 // persistent worker pool (RunOptions::use_pool, the default) against the
-// pre-pool behavior of spawning one thread per device per batch, on the
-// compiled backend. With --enforce-pool-floor, exits non-zero unless the
-// pooled p99 beats the spawning p99 by kPoolP99Floor x.
+// pre-pool behavior of spawning one thread per device per batch. With
+// --enforce-pool-floor, exits non-zero unless the pooled p99 beats the
+// spawning p99 by kPoolP99Floor x.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -41,14 +41,14 @@ double Percentile(std::vector<double> sorted_ms, double q) {
 }
 
 // CI floor for the pool comparison: pooled p99 must beat per-batch thread
-// spawning by this factor on the quickstart workload (compiled backend).
+// spawning by this factor on the quickstart workload.
 constexpr double kPoolP99Floor = 1.3;
 
 struct Config {
   int64_t max_batch;
   int producers;
   int requests_per_producer;
-  RunOptions run;  // backend / pool settings forwarded to the batcher
+  RunOptions run;  // pool settings forwarded to the batcher
 };
 
 struct Result {
@@ -178,12 +178,11 @@ int main(int argc, char** argv) {
               "(target: >= 2x)\n", speedup);
 
   // ---- Persistent worker pool vs per-batch thread spawning ----
-  // Same serving regime, compiled backend; the only difference between the
-  // arms is RunOptions::use_pool. Best-of-3 per arm, arms interleaved, so a
+  // Same serving regime; the only difference between the arms is
+  // RunOptions::use_pool. Best-of-3 per arm, arms interleaved, so a
   // background hiccup cannot land entirely on one side.
   Config pooled_config{/*max_batch=*/4, /*producers=*/4,
                        /*requests_per_producer=*/40, RunOptions{}};
-  pooled_config.run.backend = ExecBackend::kCompiled;
   Config spawn_config = pooled_config;
   spawn_config.run.use_pool = false;
   Result pooled, spawn;

@@ -2,9 +2,10 @@
  * @file
  * Shared helpers for the experiment-reproduction binaries: table printing
  * and facade-based schedule execution. Each bench binary regenerates one
- * table or figure of the paper (see DESIGN.md's per-experiment index);
- * absolute numbers come from the simulator substrate, the *shape* (who
- * wins, by what factor) is the reproduction target (EXPERIMENTS.md).
+ * table or figure of the paper, named in its file comment. Absolute
+ * numbers come from the analytical simulator (src/sim/), which stands in
+ * for the paper's TPU pods; the *shape* (who wins, by what factor) is the
+ * reproduction target.
  *
  * Model steps are traced once into a partir::Program and partitioned (any
  * number of times) through Program::Partition — the same facade user code

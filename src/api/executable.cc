@@ -2,6 +2,7 @@
 
 #include "src/analysis/analyze.h"
 #include "src/api/partition_cache.h"
+#include "src/exec/executor.h"
 #include "src/exec/worker_pool.h"
 #include "src/ir/fingerprint.h"
 #include "src/ir/printer.h"
@@ -39,7 +40,11 @@ StatusOr<std::vector<Tensor>> Executable::Run(
   RunOptions run_options = options;
   RunStats local_stats;
   if (run_options.stats == nullptr) run_options.stats = &local_stats;
-  if (run_options.pool == nullptr && run_options.use_pool) {
+  // Only a threaded compiled Run uses the pool; creating it for any other
+  // Run would leave one idle resident thread per device behind.
+  if (run_options.pool == nullptr && run_options.use_pool &&
+      run_options.backend == ExecBackend::kCompiled &&
+      exec::Concurrency(run_options, mesh().NumDevices()) > 1) {
     run_options.pool = EnsurePool();
   }
   StatusOr<std::vector<Tensor>> outputs =
@@ -52,11 +57,9 @@ StatusOr<std::vector<Tensor>> Executable::Run(
 }
 
 exec::WorkerPool* Executable::EnsurePool() const {
-  const int64_t num_devices = result_.spmd.mesh.NumDevices();
-  if (num_devices <= 1) return nullptr;  // never goes threaded
   std::lock_guard<std::mutex> lock(runtime_->mu);
   if (runtime_->pool == nullptr) {
-    runtime_->pool = std::make_shared<exec::WorkerPool>(num_devices);
+    runtime_->pool = std::make_shared<exec::WorkerPool>(mesh().NumDevices());
   }
   return runtime_->pool.get();
 }

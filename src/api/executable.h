@@ -40,8 +40,8 @@ class WorkerPool;
 struct RunRuntime {
   std::mutex mu;
   /** One resident thread per mesh device, created on the first threaded
-   *  Run and reused by every Run after it; null until then (and forever on
-   *  single-device meshes, which never go threaded). */
+   *  Run and reused by every threaded Run after it; null until then (and
+   *  forever on single-device meshes, which never go threaded). */
   std::shared_ptr<exec::WorkerPool> pool;
   /** RunStats::allocations of the most recent completed Run, -1 before. */
   std::atomic<int64_t> last_run_allocations{-1};
@@ -91,17 +91,21 @@ class Executable {
    * shardings, and the global outputs are reassembled. Input count, rank
    * and dims are validated up front with typed errors.
    *
-   * By default every simulated device runs on its own thread with
-   * rendezvous collectives (RunOptions); options.num_threads == 1 selects
-   * the sequential reference walker, whose outputs are bit-identical to
-   * the threaded runtime's under the (default) deterministic mode.
+   * By default the compiled executor runs every simulated device on its
+   * own thread with rendezvous collectives (RunOptions);
+   * options.num_threads == 1 runs the devices one after another on the
+   * calling thread. options.backend = ExecBackend::kInterpret selects the
+   * sequential reference walker instead, which ignores num_threads,
+   * deterministic and the pool. Under the (default) deterministic mode
+   * every one of these is bit-identical to the walker.
    *
    * Threaded Runs reuse this executable's persistent worker pool (one
-   * resident thread per device, created on first use) instead of spawning
-   * num_devices threads per call; options.use_pool = false restores the
-   * spawning behavior, and a caller-supplied options.pool overrides the
-   * executable's own. options.stats, when set, receives per-Run statistics;
-   * the latest Run's allocation count is also reported by memory_stats().
+   * resident thread per device, created on the first threaded Run) instead
+   * of spawning num_devices threads per call; sequential Runs never create
+   * it. options.use_pool = false restores the spawning behavior, and a
+   * caller-supplied options.pool overrides the executable's own.
+   * options.stats, when set, receives per-Run statistics; the latest Run's
+   * allocation count is also reported by memory_stats().
    */
   StatusOr<std::vector<Tensor>> Run(const std::vector<Tensor>& inputs,
                                     const RunOptions& options = {}) const;
@@ -221,8 +225,7 @@ class Executable {
  private:
   friend class Program;
 
-  /** The executable's own pool (created on demand); null on single-device
-   *  meshes. */
+  /** The executable's own pool, created on the first threaded Run. */
   exec::WorkerPool* EnsurePool() const;
 
   Executable(std::shared_ptr<Module> module, Func* traced,

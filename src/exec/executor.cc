@@ -177,8 +177,8 @@ Tensor TakeOperand(const Instruction& inst, Arena& arena) {
   return buf;
 }
 
-/** Sequential reference walk: each instruction on every device in turn,
- *  collectives one replica group at a time in group-position order. */
+/** Sequential walk: each instruction on every device in turn, collectives
+ *  one replica group at a time in group-position order. */
 void RunSequentialExec(const DeviceProgram& program,
                        std::vector<Arena>& arenas) {
   const int64_t num_devices = static_cast<int64_t>(arenas.size());
@@ -209,11 +209,11 @@ void RunSequentialExec(const DeviceProgram& program,
 }
 
 /**
- * Async runtime: one body per device, rendezvous collectives, and a
- * semaphore throttling concurrency (same protocol as the interpreter).
- * Device bodies run on the persistent worker pool when one is supplied and
- * idle; otherwise (no pool, pool too small, or another Run holding its
- * submit lease) each body gets a freshly spawned thread.
+ * Threaded runtime: one body per device, rendezvous collectives, and a
+ * semaphore throttling concurrency. Device bodies run on the persistent
+ * worker pool when one is supplied and idle; otherwise (no pool, pool too
+ * small, or another Run holding its submit lease) each body gets a freshly
+ * spawned thread.
  */
 void RunThreadedExec(const DeviceProgram& program, const RunOptions& options,
                      std::vector<Arena>& arenas, int max_concurrency,
@@ -262,6 +262,12 @@ void RunThreadedExec(const DeviceProgram& program, const RunOptions& options,
 
 }  // namespace
 
+int Concurrency(const RunOptions& options, int64_t num_devices) {
+  const int devices = static_cast<int>(num_devices);
+  if (options.num_threads == 0) return devices;
+  return std::max(1, std::min(options.num_threads, devices));
+}
+
 StatusOr<std::vector<Tensor>> ExecuteCompiled(
     const SpmdModule& spmd, const DeviceProgram& program,
     const std::vector<Tensor>& global_inputs, const RunOptions& options) {
@@ -282,11 +288,8 @@ StatusOr<std::vector<Tensor>> ExecuteCompiled(
     }
   }
 
-  int concurrency = options.num_threads == 0
-                        ? static_cast<int>(num_devices)
-                        : std::max(1, std::min(options.num_threads,
-                                               static_cast<int>(num_devices)));
-  if (concurrency == 1 || num_devices == 1) {
+  const int concurrency = Concurrency(options, num_devices);
+  if (concurrency == 1) {
     RunSequentialExec(program, arenas);
   } else {
     RunThreadedExec(program, options, arenas, concurrency, sink);

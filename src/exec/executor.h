@@ -1,16 +1,18 @@
 /**
  * @file
- * Executes a compiled DeviceProgram over the mesh: slot-indexed arenas
- * instead of Value->Tensor maps, planner-driven buffer reuse and in-place
- * elementwise updates, and the same two execution modes as the op-walking
- * interpreter — a sequential reference walk, and one thread per device
- * meeting at rendezvous collectives (src/spmd/rendezvous.h).
+ * The execution engine: runs a compiled DeviceProgram over the mesh with
+ * slot-indexed arenas instead of Value->Tensor maps, planner-driven buffer
+ * reuse and in-place elementwise updates. A Run walks the devices
+ * sequentially, or gives each device its own thread (on the executable's
+ * persistent worker pool when it has one) meeting at rendezvous
+ * collectives (src/spmd/rendezvous.h). This is the only place threading,
+ * the pool, rendezvous and arrival-order folding live.
  *
- * Outputs are bit-identical to RunSpmd's interpreter backend: elementwise
- * kernels share the interpreter's scalar functions, the fused rank-2 dot
- * accumulates in double over the same index order, everything else falls
- * back to the interpreter's own EvalOpRef, and collectives fold in group
- * position order.
+ * Outputs are bit-identical to the sequential reference walker
+ * (ExecBackend::kInterpret): elementwise kernels share the interpreter's
+ * scalar functions, the fused rank-2 dot accumulates in double over the
+ * same index order, everything else falls back to the interpreter's own
+ * EvalOpRef, and collectives fold in group position order.
  */
 #ifndef PARTIR_EXEC_EXECUTOR_H_
 #define PARTIR_EXEC_EXECUTOR_H_
@@ -26,11 +28,18 @@ namespace partir {
 namespace exec {
 
 /**
+ * How many device bodies a compiled Run executes at once: num_threads
+ * clamped to [1, num_devices], 0 meaning one per device. 1 is the
+ * sequential walk, which needs neither threads nor a pool.
+ */
+int Concurrency(const RunOptions& options, int64_t num_devices);
+
+/**
  * Runs `program` on every device of `spmd.mesh`. `global_inputs` are
  * global tensors (sharded per the module's input shardings; must already
  * be validated); returns global outputs reassembled per the output
- * shardings. Honors RunOptions::num_threads / deterministic exactly like
- * the interpreter backend.
+ * shardings. Honors RunOptions::num_threads, deterministic, pool and
+ * use_pool.
  */
 StatusOr<std::vector<Tensor>> ExecuteCompiled(
     const SpmdModule& spmd, const DeviceProgram& program,

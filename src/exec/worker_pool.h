@@ -1,8 +1,8 @@
 /**
  * @file
- * A persistent pool of device threads, created once per Executable and
- * reused across Run calls by both the compiled executor (executor.cc) and
- * the threaded SPMD interpreter (spmd_interpreter.cc).
+ * A persistent pool of device threads, created once per Executable on its
+ * first threaded Run and reused by the compiled executor (executor.cc)
+ * across every threaded Run after it.
  *
  * Before the pool, every Run spawned and joined one std::thread per
  * simulated device — a fixed per-call cost that dominates serving latency

@@ -4,11 +4,11 @@
  * residual convolution blocks, a 2-block middle with a 16-head spatial
  * attention layer, and 12 "up" residual blocks consuming skip connections.
  *
- * Substitution note (DESIGN.md): spatial down/up-sampling is omitted —
- * channel widths vary instead — because PartIR deliberately does not
- * partition spatial dims (paper Section 8), so resolution changes do not
- * affect partitioning behaviour; channel/batch structure is what the BP/Z2/
- * Z3/MP schedules exercise.
+ * Substitution versus the paper's model: spatial down/up-sampling is
+ * omitted — channel widths vary instead — because PartIR deliberately does
+ * not partition spatial dims (paper Section 8), so resolution changes do
+ * not affect partitioning behaviour; channel/batch structure is what the
+ * BP/Z2/Z3/MP schedules exercise.
  */
 #ifndef PARTIR_MODELS_UNET_H_
 #define PARTIR_MODELS_UNET_H_

@@ -3,11 +3,11 @@
  * The PartIR schedule API (paper Section 3, Table 1): users compose
  * ManualPartition and AutomaticPartition *tactics*; each tactic desugars
  * into tile/atomic compiler actions followed by propagation, applied
- * incrementally. `PartirJit` runs a schedule through the whole stack —
- * actions -> propagation -> SPMD lowering -> collective optimization — and
- * returns the device-local module together with per-tactic metadata
- * (collective breakdown and simulator estimates), the paper's headline
- * "verify the strategy after every tactic" workflow.
+ * incrementally. `PartirJitOrError` runs a schedule through the whole
+ * stack — actions -> propagation -> SPMD lowering -> collective
+ * optimization — and returns the device-local module together with
+ * per-tactic metadata (collective breakdown and simulator estimates), the
+ * paper's headline "verify the strategy after every tactic" workflow.
  */
 #ifndef PARTIR_SCHEDULE_SCHEDULE_H_
 #define PARTIR_SCHEDULE_SCHEDULE_H_
@@ -173,17 +173,6 @@ StatusOr<PartitionResult> PartirJitOrError(
  */
 StatusOr<int> ApplyManualTacticOrError(PartitionContext& ctx,
                                        const ManualPartition& tactic);
-
-/** Deprecated abort-on-error form of PartirJitOrError. */
-PartitionResult PartirJit(PartitionContext& ctx,
-                          const std::vector<Tactic>& schedule,
-                          const PartitionOptions& options = {});
-
-/**
- * Deprecated silent best-effort form of ApplyManualTacticOrError: unmatched
- * keys and failed actions are skipped without diagnosis.
- */
-int ApplyManualTactic(PartitionContext& ctx, const ManualPartition& tactic);
 
 }  // namespace partir
 

@@ -4,9 +4,9 @@
  * device-local SPMD program, tracking per-op FLOPs, collective byte
  * transfers, and live memory, and estimates step time, peak HBM and MFU
  * against a device spec. A separate "hardware model" adds deterministic
- * per-op overheads and stands in for real measurements (Figures 9-10) —
- * this repository has no accelerators, so measured == perturbed-simulated
- * (see DESIGN.md substitutions).
+ * per-op overheads and stands in for real measurements (Figures 9-10):
+ * the paper measures on TPUs, and this reproduction substitutes a
+ * perturbed simulation because it runs without accelerators.
  */
 #ifndef PARTIR_SIM_COST_MODEL_H_
 #define PARTIR_SIM_COST_MODEL_H_

@@ -5,12 +5,12 @@
  * all_slice).
  *
  * A collective over mesh axes A partitions the devices into *replica
- * groups*: the devices that differ only in their coordinates along A. Both
- * SPMD runtimes (the sequential reference walker and the threaded
- * per-device runtime) evaluate a collective one group at a time through
+ * groups*: the devices that differ only in their coordinates along A. The
+ * sequential reference walker and the compiled executor (sequential or
+ * threaded) evaluate a collective one group at a time through
  * EvalGroupCollective, whose reductions and concatenations always follow
- * group-position order — which is what makes the two runtimes bit-exact
- * with each other and repeated runs bit-stable.
+ * group-position order — which is what makes them bit-exact with each
+ * other and repeated runs bit-stable.
  *
  * Groups and attribute parses are precomputed once per op into a
  * CollectivePlan when the lowered module is built (instead of re-deriving

@@ -1,14 +1,13 @@
 /**
  * @file
- * The rendezvous machinery of the thread-per-device runtimes, shared by the
- * SPMD op-walking interpreter (spmd_interpreter.cc) and the compiled
- * executor (src/exec/executor.cc): a counting semaphore that throttles how
+ * The rendezvous machinery of the compiled executor's thread-per-device
+ * runtime (src/exec/executor.cc): a counting semaphore that throttles how
  * many device threads run concurrently, and the per-replica-group barrier
  * through which a collective's participants exchange their contributions.
  *
- * Both runtimes evaluate a completed group through EvalGroupCollective
- * (group-position order), which is what keeps their outputs bit-identical
- * to the sequential reference walker and to each other.
+ * A completed group is evaluated through EvalGroupCollective
+ * (group-position order), which is what keeps threaded outputs
+ * bit-identical to the sequential reference walker.
  */
 #ifndef PARTIR_SPMD_RENDEZVOUS_H_
 #define PARTIR_SPMD_RENDEZVOUS_H_

@@ -1,19 +1,13 @@
 #include "src/spmd/spmd_interpreter.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <deque>
-#include <map>
-#include <thread>
 #include <utility>
 
 #include "src/exec/device_program.h"
 #include "src/exec/executor.h"
-#include "src/exec/worker_pool.h"
 #include "src/interp/interpreter.h"
 #include "src/spmd/collectives.h"
-#include "src/spmd/rendezvous.h"
 
 namespace partir {
 namespace {
@@ -91,7 +85,7 @@ void EvalLocalOp(const Operation& op, Env& env) {
 /**
  * The sequential reference walker: one loop over ops, each evaluated on
  * every device (collectives one replica group at a time, in group-position
- * order — the same order the async runtime uses).
+ * order — the same order the compiled executor's threads fold in).
  */
 void RunSequential(const SpmdModule& spmd, const CollectivePlan& plan,
                    std::vector<Env>& envs) {
@@ -124,84 +118,6 @@ void RunSequential(const SpmdModule& spmd, const CollectivePlan& plan,
   }
   PARTIR_UNREACHABLE("spmd function has no return");
 }
-
-/** The async per-device runtime: one thread per device, rendezvous
- *  collectives (rendezvous.h), and a semaphore throttling concurrency. */
-class ThreadedRunner {
- public:
-  ThreadedRunner(const SpmdModule& spmd, const CollectivePlan& plan,
-                 const RunOptions& options, std::vector<Env>& envs,
-                 int max_concurrency, std::atomic<int64_t>* alloc_sink)
-      : spmd_(spmd), plan_(plan), options_(options), envs_(envs),
-        throttle_(max_concurrency), alloc_sink_(alloc_sink) {
-    for (const auto& op : spmd_.main()->body().ops()) {
-      auto it = plan_.ops.find(op.get());
-      if (it == plan_.ops.end()) continue;
-      const CollectiveOp& col = it->second;
-      if (col.kind == OpKind::kAllSlice) continue;
-      auto& sites = sites_[op.get()];
-      for (int64_t g = 0; g < static_cast<int64_t>(col.groups->groups.size());
-           ++g) {
-        sites.emplace_back();
-      }
-    }
-  }
-
-  void Run() {
-    int64_t num_devices = spmd_.mesh.NumDevices();
-    // Prefer the executable's persistent worker pool; fall back to spawning
-    // when there is none, it is too small, or a concurrent Run holds it.
-    if (options_.pool != nullptr && options_.use_pool &&
-        options_.pool->num_workers() >= num_devices &&
-        options_.pool->TryRun(num_devices,
-                              [this](int64_t d) { RunDevice(d); })) {
-      return;
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(num_devices);
-    for (int64_t d = 0; d < num_devices; ++d) {
-      threads.emplace_back([this, d] { RunDevice(d); });
-    }
-    for (std::thread& thread : threads) thread.join();
-  }
-
- private:
-  void RunDevice(int64_t device) {
-    AllocationScope alloc_scope(alloc_sink_);
-    throttle_.Acquire();
-    Env& env = envs_[device];
-    for (const auto& op : spmd_.main()->body().ops()) {
-      if (op->kind() == OpKind::kReturn) break;
-      auto it = plan_.ops.find(op.get());
-      if (it == plan_.ops.end()) {
-        EvalLocalOp(*op, env);
-        continue;
-      }
-      const CollectiveOp& col = it->second;
-      if (col.kind == OpKind::kAllSlice) {
-        env[op->result()] = ApplySliceSteps(
-            env.at(op->operand(0)), col.slice_steps_per_device[device]);
-        continue;
-      }
-      GroupSite& site =
-          sites_.at(op.get())[col.groups->group_of[device]];
-      env[op->result()] = RendezvousExchange(
-          col, site, col.groups->position_of[device],
-          env.at(op->operand(0)), options_.deterministic, &throttle_);
-    }
-    throttle_.Release();
-  }
-
-  const SpmdModule& spmd_;
-  const CollectivePlan& plan_;
-  const RunOptions& options_;
-  std::vector<Env>& envs_;
-  Semaphore throttle_;
-  std::atomic<int64_t>* alloc_sink_;
-  // One rendezvous per replica group per collective op, indexed by the
-  // group index of CollectiveOp::groups.
-  std::map<const Operation*, std::deque<GroupSite>> sites_;
-};
 
 }  // namespace
 
@@ -283,11 +199,11 @@ StatusOr<std::vector<Tensor>> RunSpmd(const SpmdModule& spmd,
     }
     return exec::ExecuteCompiled(spmd, *program, global_inputs, options);
   }
+  // kInterpret: the sequential reference walker, on the calling thread
+  // whatever num_threads, deterministic and pool say.
   std::atomic<int64_t> run_allocs{0};
-  std::atomic<int64_t>* sink = options.stats != nullptr ? &run_allocs : nullptr;
-  // Counts sharding/unsharding on the calling thread; device threads install
-  // their own scope in RunDevice.
-  AllocationScope alloc_scope(sink);
+  AllocationScope alloc_scope(options.stats != nullptr ? &run_allocs
+                                                       : nullptr);
 
   // Normally precomputed right after collective optimization; modules built
   // by hand (or mutated through mutable_spmd) are planned here.
@@ -312,15 +228,7 @@ StatusOr<std::vector<Tensor>> RunSpmd(const SpmdModule& spmd,
     }
   }
 
-  int concurrency = options.num_threads == 0
-                        ? static_cast<int>(num_devices)
-                        : std::max(1, std::min(options.num_threads,
-                                               static_cast<int>(num_devices)));
-  if (concurrency == 1 || num_devices == 1) {
-    RunSequential(spmd, *local_plan, envs);
-  } else {
-    ThreadedRunner(spmd, *local_plan, options, envs, concurrency, sink).Run();
-  }
+  RunSequential(spmd, *local_plan, envs);
 
   const Operation* ret = func.body().terminator();
   std::vector<Tensor> outputs;

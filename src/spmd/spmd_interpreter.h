@@ -1,26 +1,25 @@
 /**
  * @file
- * Multi-device SPMD runtime: executes the device-local program on every
- * device of the mesh with real collective semantics (slice / gather /
+ * Multi-device SPMD execution: RunSpmd runs the device-local program on
+ * every device of the mesh with real collective semantics (slice / gather /
  * reduce / reduce-scatter / all-to-all across mesh-axis replica groups).
  *
- * Two runtimes share one collective implementation (collectives.h):
+ * There is one execution engine, the compiled executor (src/exec/), and
+ * one executable specification beside it:
  *
- *  - the *sequential reference walker* (RunOptions::num_threads == 1): one
+ *  - ExecBackend::kCompiled (the default) runs the precompiled
+ *    DeviceProgram, sequentially or with one thread per simulated device
+ *    meeting at rendezvous collectives. Threading, the worker pool,
+ *    rendezvous and arrival-order folding live only there.
+ *
+ *  - ExecBackend::kInterpret is the *sequential reference walker*: one
  *    global op-walker evaluates each op on every device in turn — the
  *    executable specification of the paper's Appendix C correctness
- *    theorem (partitioned program + collectives == unpartitioned program);
+ *    theorem (partitioned program + collectives == unpartitioned program).
  *
- *  - the *async runtime* (the default): one thread per simulated device
- *    executes its device-local program independently; collectives are
- *    rendezvous objects with barrier semantics — each device deposits its
- *    contribution and blocks until the whole replica group has arrived,
- *    the last arrival evaluates the group in deterministic position order,
- *    and all members pick up their outputs.
- *
- * Because both runtimes evaluate collectives through the same group-ordered
- * functions, their outputs are bit-identical; the async runtime surfaces
- * real overlap and ordering bugs that lock-step emulation cannot.
+ * Both evaluate collectives through the same group-ordered functions
+ * (collectives.h), so compiled outputs — sequential or threaded — are
+ * bit-identical to the walker's; the differential suites check this.
  */
 #ifndef PARTIR_SPMD_SPMD_INTERPRETER_H_
 #define PARTIR_SPMD_SPMD_INTERPRETER_H_
@@ -53,12 +52,18 @@ struct RunStats {
 
 /** Which execution engine drives the device-local programs. */
 enum class ExecBackend {
-  /** The op-walking SPMD interpreter: fresh tensor per op per device. */
+  /**
+   * The sequential reference walker: walks the IR op by op on each device
+   * in turn, a fresh tensor per op per device, on the calling thread. It
+   * ignores num_threads, deterministic, pool and use_pool; it is the
+   * reference the compiled executor is checked against, not a runtime.
+   */
   kInterpret,
   /**
    * The compiled executor (src/exec/): flat instruction stream with
-   * pre-resolved arena slots from the liveness memory planner.
-   * Bit-identical outputs to kInterpret on all supported programs.
+   * pre-resolved arena slots from the liveness memory planner, run
+   * sequentially or threaded per num_threads. Bit-identical outputs to
+   * kInterpret on all supported programs.
    */
   kCompiled,
 };
@@ -67,31 +72,31 @@ enum class ExecBackend {
 struct RunOptions {
   /**
    * Worker threads executing device programs. 0 (default) runs one thread
-   * per simulated device; 1 selects the sequential reference walker; any
-   * other value caps how many device threads run concurrently (a thread
-   * waiting at a collective rendezvous releases its slot, so any positive
-   * cap is deadlock-free). Values above the device count are clamped.
+   * per simulated device; 1 runs the devices one after another on the
+   * calling thread; any other value caps how many device threads run
+   * concurrently (a thread waiting at a collective rendezvous releases its
+   * slot, so any positive cap is deadlock-free). Values above the device
+   * count are clamped. kInterpret ignores it.
    */
   int num_threads = 0;
   /**
    * When true (default), collective reductions fold in group-position
    * order: outputs are bit-identical to the sequential walker and across
-   * repeated runs. When false, all_reduce / reduce_scatter fold in thread
-   * arrival order — correct within float tolerance, not bit-stable.
+   * repeated runs. When false, threaded all_reduce / reduce_scatter fold in
+   * thread arrival order — correct within float tolerance, not bit-stable.
    */
   bool deterministic = true;
   /**
-   * Execution engine. kInterpret (default) walks the IR per Run;
-   * kCompiled executes the precompiled DeviceProgram (compiling one ad hoc
-   * when the module carries none). Both honor num_threads/deterministic
-   * identically.
+   * Execution engine. kCompiled (default) executes the precompiled
+   * DeviceProgram, compiling one ad hoc when the module carries none;
+   * kInterpret selects the sequential reference walker.
    */
-  ExecBackend backend = ExecBackend::kInterpret;
+  ExecBackend backend = ExecBackend::kCompiled;
   /**
    * Persistent device worker pool (exec/worker_pool.h). When non-null,
    * `use_pool` is true, and the pool has at least one worker per device,
-   * the threaded runtimes dispatch device bodies onto the pool's resident
-   * threads instead of spawning a fresh std::thread per device per Run.
+   * a threaded compiled Run dispatches device bodies onto the pool's
+   * resident threads instead of spawning a fresh std::thread per device.
    * If the pool is busy (another Run holds its submit lease), execution
    * falls back to spawning, so concurrent Runs stay correct.
    */

@@ -50,8 +50,8 @@ TEST(BatchPropertyTest, StackRunDestackEqualsPerRequestRunOnAllWorkloads) {
     SCOPED_TRACE(workload.name);
     WorkloadHarness harness(workload);
     Executable reference = UnitReference(harness, workload);
-    RunOptions sequential;
-    sequential.num_threads = 1;
+    RunOptions walker;
+    walker.backend = ExecBackend::kInterpret;
 
     Program program = Program::Capture(workload.build, 1);
     BatchOptions options;
@@ -69,7 +69,7 @@ TEST(BatchPropertyTest, StackRunDestackEqualsPerRequestRunOnAllWorkloads) {
       std::vector<std::vector<Tensor>> want;
       for (int64_t r = 0; r < k; ++r) {
         std::vector<Tensor> inputs = harness.Request(1000 + seed++);
-        want.push_back(reference.Run(inputs, sequential).value());
+        want.push_back(reference.Run(inputs, walker).value());
         futures.push_back(batcher->Submit(std::move(inputs)));
       }
       for (int64_t r = 0; r < k; ++r) {
@@ -150,8 +150,8 @@ TEST(BatchPropertyTest, UnshardableBatchSizesFallBackAndStayCorrect) {
   ServeWorkload workload = serving::AttentionWorkload();
   WorkloadHarness harness(workload);
   Executable reference = UnitReference(harness, workload);
-  RunOptions sequential;
-  sequential.num_threads = 1;
+  RunOptions walker;
+  walker.backend = ExecBackend::kInterpret;
 
   Program program = Program::Capture(workload.build, 1);
   BatchOptions options;
@@ -163,7 +163,7 @@ TEST(BatchPropertyTest, UnshardableBatchSizesFallBackAndStayCorrect) {
   std::vector<std::vector<Tensor>> want;
   for (int r = 0; r < 3; ++r) {  // one full batch of 3 (odd -> fallback)
     std::vector<Tensor> inputs = harness.Request(70 + r);
-    want.push_back(reference.Run(inputs, sequential).value());
+    want.push_back(reference.Run(inputs, walker).value());
     futures.push_back(batcher->Submit(std::move(inputs)));
   }
   for (int r = 0; r < 3; ++r) {

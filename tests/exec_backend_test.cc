@@ -1,9 +1,10 @@
-// Differential tests for the compiled executor backend: every example and
-// serving workload runs through RunOptions::backend = kCompiled and must be
-// bit-identical (memcmp) to the op-walking interpreter, sequentially and
-// threaded. Also covers memory_stats(), ad-hoc compilation after module
-// mutation, cache-hit clones, and a batcher smoke on the compiled backend.
-// This suite runs under the ThreadSanitizer CI job.
+// Differential tests for the compiled executor, the default engine: every
+// example and serving workload runs compiled at num_threads 1, 3 and 0 and
+// must be bit-identical (memcmp) to the sequential reference walker
+// (ExecBackend::kInterpret). Also covers memory_stats(), ad-hoc compilation
+// after module mutation, cache-hit clones, the worker pool, per-Run
+// allocation stats, and a batcher smoke. This suite runs under the
+// ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -38,20 +39,22 @@ void ExpectBitIdentical(const std::vector<Tensor>& a,
   }
 }
 
-// Runs interpreter and compiled backends in sequential, fully-threaded and
-// capped-thread modes; asserts the compiled outputs are bit-identical to
-// the interpreter's in every mode.
+RunOptions Walker() {
+  RunOptions walker;
+  walker.backend = ExecBackend::kInterpret;
+  return walker;
+}
+
+// Runs the compiled executor sequentially, capped at 3 threads and fully
+// threaded; asserts every mode is bit-identical to the reference walker.
 void ExpectBackendsAgree(const Executable& exe,
                          const std::vector<Tensor>& inputs,
                          const std::string& label) {
-  for (int num_threads : {1, 0, 3}) {
-    RunOptions interpret;
-    interpret.num_threads = num_threads;
-    RunOptions compiled = interpret;
-    compiled.backend = ExecBackend::kCompiled;
-    std::vector<Tensor> want = exe.Run(inputs, interpret).value();
-    std::vector<Tensor> got = exe.Run(inputs, compiled).value();
-    ExpectBitIdentical(want, got,
+  std::vector<Tensor> want = exe.Run(inputs, Walker()).value();
+  for (int num_threads : {1, 3, 0}) {
+    RunOptions compiled;
+    compiled.num_threads = num_threads;
+    ExpectBitIdentical(want, exe.Run(inputs, compiled).value(),
                        label + " (threads=" + std::to_string(num_threads) +
                            ")");
   }
@@ -67,7 +70,7 @@ Program BuildChainProgram(int64_t rows, int64_t inner, int64_t hidden) {
   return program;
 }
 
-// ---- The example workloads, both backends bit-for-bit ----
+// ---- The example workloads, compiled vs walker bit-for-bit ----
 
 TEST(ExecBackendTest, QuickstartChainBpMpZ3) {
   Program program("main");
@@ -118,8 +121,8 @@ TEST(ExecBackendTest, TransformerTrainingBpMp) {
 
 // Differential coverage for the boundary-aware realization of the
 // standalone-EMB schedule (PartitionOptions::boundary_realization): the
-// new lowering must be bit-identical between the interpreter and the
-// compiled backend in sequential, fully-threaded and capped-thread modes,
+// new lowering must be bit-identical between the walker and the compiled
+// executor in sequential, fully-threaded and capped-thread modes,
 // and both the boundary-realized and the historical all-all_reduce
 // lowerings must agree with the unpartitioned reference evaluation.
 // Collective reductions re-associate float sums, so the reference
@@ -223,7 +226,7 @@ TEST(ExecBackendTest, ServingWorkloadsAgreeOnBothBackends) {
           program.Partition(workload.schedule, workload.mesh);
       if (!exe.ok()) {
         // Batch sizes the schedule cannot shard serve unpartitioned (the
-        // batcher's fallback); the compiled backend must cover that too.
+        // batcher's fallback); the compiled executor must cover that too.
         exe = program.Partition({}, workload.mesh);
       }
       ASSERT_TRUE(exe.ok()) << exe.status().ToString();
@@ -269,7 +272,7 @@ TEST(ExecBackendTest, MutableAccessDropsProgramAndAdHocCompileStillAgrees) {
   // with the collective plan...
   exe.mutable_spmd();
   EXPECT_EQ(exe.spmd().exec_program, nullptr);
-  // ...and a compiled-backend Run recompiles ad hoc, still bit-identical.
+  // ...and a compiled Run recompiles ad hoc, still bit-identical.
   ExpectBackendsAgree(exe, program.RandomInputs(3), "after invalidation");
 }
 
@@ -290,10 +293,7 @@ TEST(ExecBackendTest, CacheHitClonesShareTheCompiledProgram) {
       << "cache-hit clones should share one immutable program";
   std::vector<Tensor> inputs = program.RandomInputs(4);
   ExpectBackendsAgree(second, inputs, "cache-hit clone");
-  RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
-  ExpectBitIdentical(first.Run(inputs, compiled).value(),
-                     second.Run(inputs, compiled).value(),
+  ExpectBitIdentical(first.Run(inputs).value(), second.Run(inputs).value(),
                      "clone vs original");
   // Mutable access drops the shared program without touching the
   // original's, and the next compiled Run still agrees bit-for-bit.
@@ -333,8 +333,8 @@ TEST(ExecBackendTest, ElementwiseChainsFuseAndStayBitIdentical) {
 
 // A device-local module still carrying loop regions (tile with slices, a
 // nested tile inside a sum, and an elementwise tail in a body) must compile
-// — no interpreter fallback — and agree bit-for-bit with the op-walking
-// interpreter in every threading mode.
+// — no interpreter fallback — and agree bit-for-bit with the reference
+// walker in every threading mode.
 TEST(ExecBackendTest, LoopRegionModulesCompileAndAgree) {
   Mesh mesh({{"B", 2}});
   SpmdModule spmd;
@@ -386,20 +386,14 @@ TEST(ExecBackendTest, LoopRegionModulesCompileAndAgree) {
 
   std::vector<Tensor> inputs = {Tensor::Random({8, 4}, 51),
                                 Tensor::Random({4, 6}, 52)};
-  RunOptions sequential;
-  sequential.num_threads = 1;
-  std::vector<Tensor> want = RunSpmd(spmd, inputs, sequential).value();
-  for (int num_threads : {1, 0}) {
+  std::vector<Tensor> want = RunSpmd(spmd, inputs, Walker()).value();
+  for (int num_threads : {1, 3, 0}) {
     RunOptions compiled;
     compiled.num_threads = num_threads;
-    compiled.backend = ExecBackend::kCompiled;
     ExpectBitIdentical(RunSpmd(spmd, inputs, compiled).value(), want,
                        "loop region (threads=" +
                            std::to_string(num_threads) + ")");
   }
-  // The threaded interpreter walks the same loops per device.
-  ExpectBitIdentical(RunSpmd(spmd, inputs, {}).value(), want,
-                     "loop region threaded interpreter");
 }
 
 // ---- Persistent worker pool ----
@@ -411,25 +405,40 @@ TEST(ExecBackendTest, PersistentPoolStopsSpawningThreadsAcrossRuns) {
       program.Partition({ManualPartition{"BP", {{"x", 0}}, "B"}}, mesh)
           .value();
   std::vector<Tensor> inputs = program.RandomInputs(61);
-  RunOptions sequential;
-  sequential.num_threads = 1;
-  std::vector<Tensor> want = exe.Run(inputs, sequential).value();
+  std::vector<Tensor> want = exe.Run(inputs, Walker()).value();
 
-  RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
   // The first threaded Run creates the executable's pool...
-  ExpectBitIdentical(exe.Run(inputs, compiled).value(), want, "first run");
+  ExpectBitIdentical(exe.Run(inputs).value(), want, "first run");
   int64_t created = exec::WorkerPool::threads_created();
   // ...and 1000 back-to-back Runs reuse its resident workers: the
   // process-wide thread-creation count must not move.
   for (int r = 0; r < 1000; ++r) {
-    ASSERT_TRUE(exe.Run(inputs, compiled).ok());
+    ASSERT_TRUE(exe.Run(inputs).ok());
   }
-  // The threaded interpreter backend drives the same pool.
-  ExpectBitIdentical(exe.Run(inputs, {}).value(), want, "interpreter run");
   EXPECT_EQ(exec::WorkerPool::threads_created(), created)
       << "pooled Runs spawned fresh pool threads";
-  ExpectBitIdentical(exe.Run(inputs, compiled).value(), want, "last run");
+  ExpectBitIdentical(exe.Run(inputs).value(), want, "last run");
+}
+
+TEST(ExecBackendTest, SequentialRunsNeverCreateThePool) {
+  Program program = BuildChainProgram(16, 8, 8);
+  Mesh mesh({{"B", 4}});
+  Executable exe =
+      program.Partition({ManualPartition{"BP", {{"x", 0}}, "B"}}, mesh)
+          .value();
+  std::vector<Tensor> inputs = program.RandomInputs(67);
+  RunOptions sequential;
+  sequential.num_threads = 1;
+  // Neither a sequential compiled Run nor the walker threads, so on a
+  // fresh executable they must not start the pool's resident workers.
+  int64_t created = exec::WorkerPool::threads_created();
+  ExpectBitIdentical(exe.Run(inputs, sequential).value(),
+                     exe.Run(inputs, Walker()).value(), "sequential");
+  EXPECT_EQ(exec::WorkerPool::threads_created(), created)
+      << "a Run that never threads created the worker pool";
+  // The first threaded Run is what creates it: one thread per device.
+  ASSERT_TRUE(exe.Run(inputs).ok());
+  EXPECT_EQ(exec::WorkerPool::threads_created(), created + 4);
 }
 
 TEST(ExecBackendTest, TwoExecutablesDriveIndependentPools) {
@@ -444,19 +453,15 @@ TEST(ExecBackendTest, TwoExecutablesDriveIndependentPools) {
           .value();
   std::vector<Tensor> inputs_a = program_a.RandomInputs(62);
   std::vector<Tensor> inputs_b = program_b.RandomInputs(63);
-  RunOptions sequential;
-  sequential.num_threads = 1;
-  std::vector<Tensor> want_a = a.Run(inputs_a, sequential).value();
-  std::vector<Tensor> want_b = b.Run(inputs_b, sequential).value();
-  RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
+  std::vector<Tensor> want_a = a.Run(inputs_a, Walker()).value();
+  std::vector<Tensor> want_b = b.Run(inputs_b, Walker()).value();
   // Warm both pools, then interleave: neither executable's Runs may spawn.
-  ASSERT_TRUE(a.Run(inputs_a, compiled).ok());
-  ASSERT_TRUE(b.Run(inputs_b, compiled).ok());
+  ASSERT_TRUE(a.Run(inputs_a).ok());
+  ASSERT_TRUE(b.Run(inputs_b).ok());
   int64_t created = exec::WorkerPool::threads_created();
   for (int r = 0; r < 50; ++r) {
-    ExpectBitIdentical(a.Run(inputs_a, compiled).value(), want_a, "a");
-    ExpectBitIdentical(b.Run(inputs_b, compiled).value(), want_b, "b");
+    ExpectBitIdentical(a.Run(inputs_a).value(), want_a, "a");
+    ExpectBitIdentical(b.Run(inputs_b).value(), want_b, "b");
   }
   EXPECT_EQ(exec::WorkerPool::threads_created(), created);
 }
@@ -468,20 +473,16 @@ TEST(ExecBackendTest, RespecializeWhilePoolIsLive) {
       program.Partition({ManualPartition{"BP", {{"x", 0}}, "B"}}, mesh)
           .value();
   std::vector<Tensor> inputs = program.RandomInputs(64);
-  RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
   // Warm the first executable's pool, then respecialize while it is live:
   // the new executable gets its own pool and both keep running.
-  ASSERT_TRUE(first.Run(inputs, compiled).ok());
+  ASSERT_TRUE(first.Run(inputs).ok());
   Executable second =
       first.Respecialize({ManualPartition{"MP", {{"w1", 1}}, "M"}}).value();
-  RunOptions sequential;
-  sequential.num_threads = 1;
-  ExpectBitIdentical(second.Run(inputs, compiled).value(),
-                     second.Run(inputs, sequential).value(),
+  ExpectBitIdentical(second.Run(inputs).value(),
+                     second.Run(inputs, Walker()).value(),
                      "respecialized while pool live");
-  ExpectBitIdentical(first.Run(inputs, compiled).value(),
-                     first.Run(inputs, sequential).value(),
+  ExpectBitIdentical(first.Run(inputs).value(),
+                     first.Run(inputs, Walker()).value(),
                      "original after respecialize");
 }
 
@@ -492,11 +493,9 @@ TEST(ExecBackendTest, UsePoolFalseStillAgrees) {
       program.Partition({ManualPartition{"BP", {{"x", 0}}, "B"}}, mesh)
           .value();
   std::vector<Tensor> inputs = program.RandomInputs(65);
-  RunOptions pooled;
-  pooled.backend = ExecBackend::kCompiled;
-  RunOptions spawning = pooled;
+  RunOptions spawning;
   spawning.use_pool = false;
-  ExpectBitIdentical(exe.Run(inputs, pooled).value(),
+  ExpectBitIdentical(exe.Run(inputs).value(),
                      exe.Run(inputs, spawning).value(),
                      "pool vs spawn");
 }
@@ -511,43 +510,47 @@ TEST(ExecBackendTest, RunStatsCountAllocationsPerRun) {
           .value();
   std::vector<Tensor> inputs = program.RandomInputs(66);
 
-  RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
   RunStats stats;
-  compiled.stats = &stats;
-  ASSERT_TRUE(exe.Run(inputs, compiled).ok());
+  RunOptions defaults;
+  defaults.stats = &stats;
+  ASSERT_TRUE(exe.Run(inputs, defaults).ok());
   EXPECT_GT(stats.allocations, 0);
   int64_t first_run = stats.allocations;
   // Identical Runs allocate identically: per-run counting is deterministic,
   // unlike deltas of the process-wide counter under concurrency.
-  ASSERT_TRUE(exe.Run(inputs, compiled).ok());
+  ASSERT_TRUE(exe.Run(inputs, defaults).ok());
   EXPECT_EQ(stats.allocations, first_run);
   // The executable reports its latest Run's count through memory_stats().
   exec::MemoryStats mem = exe.memory_stats().value();
   EXPECT_EQ(mem.last_run_allocations, first_run);
 
-  // The interpreter backend fills the same stats.
-  RunOptions interpret;
-  interpret.stats = &stats;
-  ASSERT_TRUE(exe.Run(inputs, interpret).ok());
-  EXPECT_GT(stats.allocations, 0);
+  // A default Run is a compiled Run: it allocates exactly what an explicit
+  // kCompiled Run does...
+  RunOptions compiled = defaults;
+  compiled.backend = ExecBackend::kCompiled;
+  ASSERT_TRUE(exe.Run(inputs, compiled).ok());
+  EXPECT_EQ(stats.allocations, first_run);
+
+  // ...and fewer than the walker, which fills the same stats with a fresh
+  // tensor per op per device.
+  RunOptions walker = Walker();
+  walker.stats = &stats;
+  ASSERT_TRUE(exe.Run(inputs, walker).ok());
+  EXPECT_GT(stats.allocations, first_run);
 }
 
-// ---- Batcher smoke on the compiled backend ----
+// ---- Batcher smoke on the compiled executor ----
 
 TEST(ExecBackendTest, BatcherServesCompiledBackendBitIdentically) {
   ServeWorkload workload = serving::MatMulChainWorkload();
   WorkloadHarness harness(workload);
   Executable reference =
       harness.unit().Partition(workload.schedule, workload.mesh).value();
-  RunOptions sequential;
-  sequential.num_threads = 1;
 
   Program program = Program::Capture(workload.build, 1);
   BatchOptions options;
   options.max_batch = 4;
   options.max_delay_us = 10000;
-  options.run.backend = ExecBackend::kCompiled;
   std::unique_ptr<Batcher> batcher =
       program.Serve(workload.schedule, workload.mesh, options).value();
 
@@ -555,7 +558,7 @@ TEST(ExecBackendTest, BatcherServesCompiledBackendBitIdentically) {
   std::vector<std::vector<Tensor>> want;
   for (int r = 0; r < 12; ++r) {
     std::vector<Tensor> inputs = harness.Request(700 + r);
-    want.push_back(reference.Run(inputs, sequential).value());
+    want.push_back(reference.Run(inputs, Walker()).value());
     futures.push_back(batcher->Submit(std::move(inputs)));
   }
   for (int r = 0; r < 12; ++r) {

@@ -39,7 +39,7 @@ PartitionResult RunSchedule(Func* func, const Mesh& mesh,
   PartitionContext ctx(func, mesh);
   PartitionOptions options;
   options.per_tactic_reports = false;
-  return PartirJit(ctx, schedule, options);
+  return PartirJitOrError(ctx, schedule, options).value();
 }
 
 TEST(TransformerModelTest, ParamCountIs9PerBlockPlusEmbedding) {
@@ -173,7 +173,7 @@ TEST(TransformerModelTest, InferenceBpHasNoCollectives) {
   PartitionOptions options;
   options.per_tactic_reports = false;
   ManualPartition bp{"BP", {{"tokens", 0}, {"decode_tokens", 0}}, "batch"};
-  PartitionResult result = PartirJit(ctx, {bp}, options);
+  PartitionResult result = PartirJitOrError(ctx, {bp}, options).value();
   EXPECT_EQ(result.collectives.all_reduce, 0);
   EXPECT_EQ(result.collectives.all_gather, 0);
   EXPECT_EQ(result.collectives.all_to_all, 0);
@@ -190,7 +190,7 @@ TEST(TransformerModelTest, InferenceMpCostsTwoARsPerLayerPerPosition) {
   options.per_tactic_reports = false;
   ManualPartition bp{"BP", {{"tokens", 0}, {"decode_tokens", 0}}, "batch"};
   PartitionResult result =
-      PartirJit(ctx, {bp, schedules::TransformerMP()}, options);
+      PartirJitOrError(ctx, {bp, schedules::TransformerMP()}, options).value();
   // 2 AR per layer for the prefill + 2 per layer per decode step.
   EXPECT_EQ(result.collectives.all_reduce,
             2 * config.num_layers * (steps + 1));
@@ -207,9 +207,9 @@ TEST(TransformerModelTest, MultiQueryShardingIntroducesAllToAlls) {
   PartitionOptions options;
   options.per_tactic_reports = false;
   ManualPartition bp{"BP", {{"tokens", 0}, {"decode_tokens", 0}}, "batch"};
-  PartitionResult result = PartirJit(
+  PartitionResult result = PartirJitOrError(
       ctx, {bp, schedules::TransformerMP(), schedules::TransformerMQ()},
-      options);
+      options).value();
   // Two all_to_alls per layer per decode step (q in, attention out).
   EXPECT_EQ(result.collectives.all_to_all,
             2 * config.num_layers * steps);
@@ -272,7 +272,9 @@ TEST(UNetModelTest, BpSpmdMatchesReference) {
   PartitionOptions options;
   options.per_tactic_reports = false;
   PartitionResult result =
-      PartirJit(ctx, {schedules::UNetBP(), schedules::UNetMP()}, options);
+      PartirJitOrError(ctx, {schedules::UNetBP(), schedules::UNetMP()},
+                       options)
+          .value();
   auto inputs = MakeRandomInputs(*loss, 31);
   auto want = Evaluate(*loss, inputs);
   auto got = RunSpmd(result.spmd, inputs).value();
@@ -307,7 +309,8 @@ TEST(GnsModelTest, EsSpmdMatchesReference) {
   PartitionContext ctx(loss, mesh);
   PartitionOptions options;
   options.per_tactic_reports = false;
-  PartitionResult result = PartirJit(ctx, {schedules::GnsES()}, options);
+  PartitionResult result =
+      PartirJitOrError(ctx, {schedules::GnsES()}, options).value();
   auto inputs = MakeRandomInputs(
       *loss, 41, /*index_modulus=*/static_cast<float>(config.num_nodes));
   auto want = Evaluate(*loss, inputs);

@@ -1,7 +1,8 @@
 // Round-trip property tests for the persistent-cache serializer: every
 // example and serving workload's PartitionResult must survive
-// serialize -> deserialize with bit-identical Run outputs on both
-// execution backends and identical stage-snapshot prints; traced modules
+// serialize -> deserialize with Run outputs bit-identical to the reference
+// walker's, compiled at every thread count, and identical stage-snapshot
+// prints; traced modules
 // must round-trip through Program::Save / Program::Load with equal
 // structural fingerprints. This suite runs under the ThreadSanitizer and
 // debug-verify CI jobs.
@@ -63,7 +64,9 @@ void ExpectBitIdentical(const std::vector<Tensor>& a,
  * The round-trip property: serialize + deserialize the result, then check
  * the copy is observably identical — printed SPMD module, shardings,
  * metadata, every stage snapshot (including the aliasing structure), and
- * bit-identical Run outputs on the interpreting and compiled backends.
+ * Run outputs of the original and the copy bit-identical to the original's
+ * reference walk, on the walker and the compiled executor at every thread
+ * count.
  */
 void ExpectRoundTrips(const PartitionResult& original,
                       const std::vector<Tensor>& inputs,
@@ -138,18 +141,28 @@ void ExpectRoundTrips(const PartitionResult& original,
     }
   }
 
-  // Execution fidelity, both backends, sequential and threaded.
-  for (int num_threads : {1, 0}) {
-    for (ExecBackend backend :
-         {ExecBackend::kInterpret, ExecBackend::kCompiled}) {
-      RunOptions run;
-      run.num_threads = num_threads;
-      run.backend = backend;
-      StatusOr<std::vector<Tensor>> want = RunSpmd(original.spmd, inputs, run);
-      StatusOr<std::vector<Tensor>> got = RunSpmd(restored->spmd, inputs, run);
-      ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
-      ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
-      ExpectBitIdentical(*want, *got, label);
+  // Execution fidelity: the walker over the original module is the
+  // reference; the walker over the copy and the compiled executor over
+  // both, sequential, capped and fully threaded, must match it bitwise.
+  RunOptions walker;
+  walker.backend = ExecBackend::kInterpret;
+  StatusOr<std::vector<Tensor>> want = RunSpmd(original.spmd, inputs, walker);
+  ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
+  std::vector<RunOptions> runs = {walker};
+  for (int num_threads : {1, 3, 0}) {
+    runs.emplace_back();
+    runs.back().num_threads = num_threads;
+  }
+  const SpmdModule* modules[] = {&original.spmd, &restored->spmd};
+  for (const RunOptions& run : runs) {
+    const std::string mode =
+        run.backend == ExecBackend::kInterpret
+            ? label + " walker"
+            : label + " compiled threads=" + std::to_string(run.num_threads);
+    for (const SpmdModule* spmd : modules) {
+      StatusOr<std::vector<Tensor>> got = RunSpmd(*spmd, inputs, run);
+      ASSERT_TRUE(got.ok()) << mode << ": " << got.status().ToString();
+      ExpectBitIdentical(*want, *got, mode);
     }
   }
 }

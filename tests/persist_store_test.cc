@@ -202,25 +202,29 @@ TEST(PersistStoreTest, ConcurrentWritersNeverYieldTornReads) {
       }
     });
   }
-  std::atomic<int> valid_reads{0};
-  std::thread reader([&] {
-    for (int round = 0; round < 200; ++round) {
-      StatusOr<std::string> read =
-          ReadEntry(dir.path, PayloadKind::kModule, key);
-      if (!read.ok()) {
-        EXPECT_EQ(read.status().code(), StatusCode::kNotFound)
-            << read.status().ToString();
-        continue;
-      }
-      bool known = false;
-      for (const std::string& payload : payloads) known |= (*read == payload);
-      EXPECT_TRUE(known) << "torn read of " << read->size() << " bytes";
-      ++valid_reads;
+  // A hit must be one of the complete payloads; returns whether it hit.
+  auto check_read = [&] {
+    StatusOr<std::string> read =
+        ReadEntry(dir.path, PayloadKind::kModule, key);
+    if (!read.ok()) {
+      EXPECT_EQ(read.status().code(), StatusCode::kNotFound)
+          << read.status().ToString();
+      return false;
     }
+    bool known = false;
+    for (const std::string& payload : payloads) known |= (*read == payload);
+    EXPECT_TRUE(known) << "torn read of " << read->size() << " bytes";
+    return true;
+  };
+  std::atomic<bool> writers_done{false};
+  std::thread reader([&] {
+    while (!writers_done.load()) check_read();
   });
   for (std::thread& writer : writers) writer.join();
+  writers_done = true;
   reader.join();
-  EXPECT_GT(valid_reads.load(), 0);
+  // Every rename has landed, so a final read must hit a complete payload.
+  EXPECT_TRUE(check_read()) << "no entry after all writers finished";
 }
 
 // ---- The PartitionCache disk tier ----

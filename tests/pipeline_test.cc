@@ -42,7 +42,7 @@ TEST(ScheduleTest, PerTacticReportsShowIncrementalProgress) {
   options.per_tactic_reports = true;
   ManualPartition bp{"BP", {{"x", 0}}, "B"};
   ManualPartition mp{"MP", {{"w1", 1}}, "M"};
-  PartitionResult result = PartirJit(ctx, {bp, mp}, options);
+  PartitionResult result = PartirJitOrError(ctx, {bp, mp}, options).value();
   ASSERT_EQ(result.tactics.size(), 2u);
   EXPECT_EQ(result.tactics[0].name, "BP");
   EXPECT_EQ(result.tactics[0].collectives.all_reduce, 0);
@@ -68,7 +68,7 @@ TEST(ScheduleTest, SubstringKeysMatchAllBlocks) {
   PartitionContext ctx(loss, Mesh({{"model", 2}}));
   // One key shards all three blocks' wq.
   ManualPartition mp{"MP", {{"wq", 1}}, "model"};
-  EXPECT_EQ(ApplyManualTactic(ctx, mp), 3);
+  EXPECT_EQ(ApplyManualTacticOrError(ctx, mp).value(), 3);
 }
 
 TEST(ScheduleTest, FirstDivisibleDimSkipsIndivisible) {
@@ -79,7 +79,7 @@ TEST(ScheduleTest, FirstDivisibleDimSkipsIndivisible) {
   builder.Return({builder.Neg(w)});
   PartitionContext ctx(func, Mesh({{"B", 4}}));
   ManualPartition z{"Z", {{"w", kFirstDivisibleDim}}, "B"};
-  EXPECT_EQ(ApplyManualTactic(ctx, z), 1);
+  EXPECT_EQ(ApplyManualTacticOrError(ctx, z).value(), 1);
   EXPECT_EQ(ctx.state(w).DimOfAxis("B"), 2);  // first dim divisible by 4
 }
 
@@ -87,7 +87,7 @@ TEST(ScheduleTest, ReplicatedMarksAtomic) {
   Chain chain = BuildChain();
   PartitionContext ctx(chain.func, Mesh({{"B", 4}}));
   ManualPartition z2{"Z2", {{"w1", kReplicated}}, "B"};
-  ApplyManualTactic(ctx, z2);
+  EXPECT_EQ(ApplyManualTacticOrError(ctx, z2).value(), 1);
   EXPECT_TRUE(ctx.IsAtomic(chain.w1, "B"));
   // A later tile on the atomic value is refused.
   EXPECT_FALSE(ctx.TileValue(chain.w1, 0, "B"));
@@ -103,7 +103,7 @@ TEST(ScheduleTest, NonIncrementalModeDefersToOnePropagation) {
   // matmul; amalgamated, the conflict blocks propagation entirely.
   ManualPartition bp{"BP", {{"x", 0}}, "B"};
   ManualPartition z{"Z", {{"w1", 1}}, "B"};
-  PartitionResult result = PartirJit(ctx, {bp, z}, options);
+  PartitionResult result = PartirJitOrError(ctx, {bp, z}, options).value();
   EXPECT_FALSE(result.conflicts.empty());
 }
 
@@ -250,7 +250,7 @@ TEST(BaselineTest, GspmdMatchesPartirOnConflictFreeSchedule) {
   PartitionOptions options;
   options.per_tactic_reports = false;
   ManualPartition bp{"BP", {{"x", 0}}, "B"};
-  PartitionResult partir = PartirJit(partir_ctx, {bp}, options);
+  PartitionResult partir = PartirJitOrError(partir_ctx, {bp}, options).value();
 
   Chain b = BuildChain();
   PartitionContext gspmd_ctx(b.func, Mesh({{"B", 4}}));

@@ -1,8 +1,9 @@
 // Tests for the Program/Executable facade and the Status-based error
-// surface: PartirJit end-to-end through one Partition call, the incremental
-// vs PartIR-st ablation (Section 7.4), TacticReport metadata, stage
-// printing, Respecialize, and every typed error path (bad axis name,
-// indivisible dim, unmatched key, unsealed program, bad Run inputs).
+// surface: the partition pipeline (PartirJitOrError) end-to-end through one
+// Partition call, the incremental vs PartIR-st ablation (Section 7.4),
+// TacticReport metadata, stage printing, Respecialize, and every typed
+// error path (bad axis name, indivisible dim, unmatched key, unsealed
+// program, bad Run inputs).
 #include <gtest/gtest.h>
 
 #include "src/api/partir.h"

@@ -80,14 +80,14 @@ std::vector<Tensor> MixedRequest(const std::string& key, uint64_t seed) {
   return {x, w1, w2};
 }
 
-/** Unbatched sequential reference for one request of a class. */
+/** Unbatched reference walk for one request of a class. */
 std::vector<Tensor> MixedReference(const std::string& key,
                                    const std::vector<Tensor>& inputs) {
   Program unit = MixedFactory(key, 1).value();
   Executable exe = unit.Partition(MixedSchedule(), MixedMesh()).value();
-  RunOptions sequential;
-  sequential.num_threads = 1;
-  return exe.Run(inputs, sequential).value();
+  RunOptions walker;
+  walker.backend = ExecBackend::kInterpret;
+  return exe.Run(inputs, walker).value();
 }
 
 bool BitIdentical(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
@@ -273,16 +273,29 @@ TEST(ServeStressTest, RespecializeSwapsScheduleUnderLiveTraffic) {
     inputs.push_back(MixedRequest("rows4", 400 + r));
     Program unit = MixedFactory("rows4", 1).value();
     Executable exe = unit.Partition(over_b, MixedMesh()).value();
-    RunOptions sequential;
-    sequential.num_threads = 1;
-    want.push_back(exe.Run(inputs.back(), sequential).value());
+    RunOptions walker;
+    walker.backend = ExecBackend::kInterpret;
+    want.push_back(exe.Run(inputs.back(), walker).value());
   }
 
+  // Request 0 runs alone, so over_b compiles the batch-of-one executable
+  // before any swap.
   std::vector<ServeFuture> futures;
-  for (int r = 0; r < 24; ++r) {
+  futures.push_back(batcher.Submit("rows4", inputs[0]));
+  futures[0].wait();
+  for (int r = 1; r < 24; ++r) {
+    if (r == 16) {
+      // Flip back on a drained batcher and serve request 16 alone: it forms
+      // a batch of one, which over_b already compiled, so the recompile is
+      // a hit in the shared partition cache whatever batches formed live.
+      for (ServeFuture& future : futures) future.wait();
+      batcher.Respecialize(over_b);
+      futures.push_back(batcher.Submit("rows4", inputs[r]));
+      futures.back().wait();
+      continue;
+    }
     futures.push_back(batcher.Submit("rows4", inputs[r]));
     if (r == 8) batcher.Respecialize(over_m);
-    if (r == 16) batcher.Respecialize(over_b);  // flip back: cache is warm
     std::this_thread::sleep_for(Micros(150));
   }
   for (int r = 0; r < 24; ++r) {

@@ -1,8 +1,8 @@
-// Tests for the async multi-device SPMD runtime: replica-group planning,
+// Tests for the multi-device SPMD runtime: replica-group planning,
 // rendezvous collective semantics on 3-axis and asymmetric meshes, typed
 // Run errors, and bit-exact agreement between the sequential reference
-// walker and the threaded runtime (including capped thread counts and the
-// five example workloads).
+// walker and the compiled executor run sequentially, threaded, and at a
+// capped thread count (including the five example workloads).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -36,23 +36,27 @@ void ExpectBitIdentical(const std::vector<Tensor>& a,
   }
 }
 
-// Runs under the sequential walker, the full threaded runtime, and a
-// capped thread count; asserts all three are bit-identical and returns the
-// sequential outputs.
+RunOptions Walker() {
+  RunOptions walker;
+  walker.backend = ExecBackend::kInterpret;
+  return walker;
+}
+
+// Runs the sequential reference walker, then the compiled executor
+// sequentially, capped at 3 threads and fully threaded; asserts all of
+// them are bit-identical to the walker and returns the walker's outputs.
 std::vector<Tensor> RunAllModes(const Executable& exe,
                                 const std::vector<Tensor>& inputs,
                                 const std::string& label) {
-  RunOptions sequential;
-  sequential.num_threads = 1;
-  RunOptions threaded;  // default: one thread per device
-  RunOptions capped;
-  capped.num_threads = 3;
-  std::vector<Tensor> seq = exe.Run(inputs, sequential).value();
-  ExpectBitIdentical(seq, exe.Run(inputs, threaded).value(),
-                     label + " threaded");
-  ExpectBitIdentical(seq, exe.Run(inputs, capped).value(),
-                     label + " capped(3)");
-  return seq;
+  std::vector<Tensor> walked = exe.Run(inputs, Walker()).value();
+  for (int num_threads : {1, 3, 0}) {
+    RunOptions compiled;
+    compiled.num_threads = num_threads;
+    ExpectBitIdentical(walked, exe.Run(inputs, compiled).value(),
+                       label + " (threads=" + std::to_string(num_threads) +
+                           ")");
+  }
+  return walked;
 }
 
 void ExpectMatchesReference(Program& program, const Executable& exe,
@@ -131,7 +135,7 @@ TEST(SpmdRuntimeTest, ThreeAxisMeshFsdpAgreesWithReference) {
 TEST(SpmdRuntimeTest, AsymmetricMeshReduceScatterAgreesWithReference) {
   // {B:3, M:2}: dims divisible by 3; sharding the output over M turns the
   // Megatron all_reduce into a reduce_scatter whose reduction order (3
-  // summands over B-agnostic groups) must be identical in both runtimes.
+  // summands over B-agnostic groups) must be identical in every mode.
   Program program("chain");
   Value* x = program.AddInput(TensorType({6, 8}), "x");
   Value* w1 = program.AddInput(TensorType({8, 6}), "w1");
@@ -173,9 +177,7 @@ TEST(SpmdRuntimeTest, AllToAllRoundTripOnAsymmetricAxis) {
   spmd.output_shardings = {ValueSharding{AxesPerDim{{"B"}, {}}}};
 
   Tensor global = Tensor::Random({6, 6}, 99);
-  RunOptions sequential;
-  sequential.num_threads = 1;
-  std::vector<Tensor> seq = RunSpmd(spmd, {global}, sequential).value();
+  std::vector<Tensor> seq = RunSpmd(spmd, {global}, Walker()).value();
   std::vector<Tensor> thr = RunSpmd(spmd, {global}).value();
   ExpectBitIdentical(seq, thr, "all_to_all round trip");
   EXPECT_EQ(seq[0].data(), global.data()) << "round trip is not identity";
@@ -200,9 +202,7 @@ TEST(SpmdRuntimeTest, DeepShardedGatherOnThreeAxisMesh) {
   spmd.output_shardings = {ValueSharding{AxesPerDim{{}, {}}}};
 
   Tensor global = Tensor::Random({4, 8}, 123);
-  RunOptions sequential;
-  sequential.num_threads = 1;
-  std::vector<Tensor> seq = RunSpmd(spmd, {global}, sequential).value();
+  std::vector<Tensor> seq = RunSpmd(spmd, {global}, Walker()).value();
   std::vector<Tensor> thr = RunSpmd(spmd, {global}).value();
   ExpectBitIdentical(seq, thr, "deep gather");
   EXPECT_EQ(seq[0].data(), global.data()) << "gather lost the global value";
@@ -295,7 +295,7 @@ TEST(SpmdRuntimeTest, UnshardableGlobalDimIsStatusNotAbort) {
   EXPECT_NE(result.status().message().find("divisible"), std::string::npos);
 }
 
-// ---- The five example workloads, threaded == sequential bit-for-bit ----
+// ---- The five example workloads, compiled == walker bit-for-bit ----
 
 TEST(SpmdRuntimeExamplesTest, QuickstartChainBpMpZ3) {
   Program program("main");

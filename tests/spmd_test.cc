@@ -1,6 +1,6 @@
 // Tests for SPMD lowering, collective fusion, and end-to-end equivalence of
 // the device-local program with the unpartitioned program under the
-// multi-device interpreter (the executable Appendix C theorem).
+// multi-device runtime, RunSpmd (the executable Appendix C theorem).
 #include <gtest/gtest.h>
 
 #include "src/core/context.h"
