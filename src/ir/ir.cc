@@ -89,6 +89,13 @@ void Block::EraseIf(const std::function<bool(const Operation&)>& predicate) {
   if (ops_.size() != before) BumpVersion();
 }
 
+std::vector<std::unique_ptr<Operation>> Block::TakeOps() {
+  std::vector<std::unique_ptr<Operation>> taken = std::move(ops_);
+  ops_.clear();
+  BumpVersion();
+  return taken;
+}
+
 void WalkOps(const Block& block,
              const std::function<void(const Operation&)>& visit) {
   for (const auto& op : block.ops()) {

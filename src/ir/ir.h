@@ -163,6 +163,13 @@ class Block {
   /** Removes operations for which predicate returns true (must be unused). */
   void EraseIf(const std::function<bool(const Operation&)>& predicate);
 
+  /**
+   * Moves every operation out of the block, leaving it empty, for in-place
+   * rewrites that re-Append the ops they keep. Taken ops stay alive (and
+   * their results valid operands) for as long as the caller owns them.
+   */
+  std::vector<std::unique_ptr<Operation>> TakeOps();
+
  private:
   friend class Operation;
 

@@ -1,6 +1,6 @@
 #include "src/ir/passes.h"
 
-#include <set>
+#include <unordered_set>
 
 namespace partir {
 namespace {
@@ -61,8 +61,8 @@ std::unique_ptr<Module> CloneModule(const Module& module, ValueMap* mapping) {
   return clone;
 }
 
-std::map<const Value*, int64_t> CountUses(const Func& func) {
-  std::map<const Value*, int64_t> uses;
+UseCounts CountUses(const Func& func) {
+  UseCounts uses;
   WalkOps(func.body(), [&](const Operation& op) {
     for (const Value* operand : op.operands()) {
       ++uses[operand];
@@ -75,11 +75,11 @@ namespace {
 
 // Removes unused pure ops from a block (post-order over regions). Terminator
 // kinds (return/yield) are always kept.
-int64_t DceBlock(Block& block, std::map<const Value*, int64_t>& uses) {
+int64_t DceBlock(Block& block, UseCounts& uses) {
   int64_t removed = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
+  std::unordered_set<const Operation*> dead;
+  do {
+    dead.clear();
     // Iterate in reverse so chains die in one sweep.
     for (auto it = block.ops().rbegin(); it != block.ops().rend(); ++it) {
       Operation& op = **it;
@@ -88,19 +88,16 @@ int64_t DceBlock(Block& block, std::map<const Value*, int64_t>& uses) {
       }
       bool used = false;
       for (int i = 0; i < op.num_results(); ++i) {
-        if (uses[op.result(i)] > 0) used = true;
+        auto count = uses.find(op.result(i));
+        if (count != uses.end() && count->second > 0) used = true;
       }
       if (used) continue;
       for (Value* operand : op.operands()) --uses[operand];
-      // Mark for erasure by tagging with a sentinel attr.
-      op.attrs().Set("__dead", int64_t{1});
-      changed = true;
-      ++removed;
+      dead.insert(&op);
     }
-    block.EraseIf([](const Operation& op) {
-      return op.attrs().GetOr<int64_t>("__dead", 0) == 1;
-    });
-  }
+    removed += static_cast<int64_t>(dead.size());
+    block.EraseIf([&dead](const Operation& op) { return dead.count(&op) > 0; });
+  } while (!dead.empty());
   for (auto& op : block.ops()) {
     for (int r = 0; r < op->num_regions(); ++r) {
       removed += DceBlock(op->region(r).block(), uses);
@@ -112,7 +109,7 @@ int64_t DceBlock(Block& block, std::map<const Value*, int64_t>& uses) {
 }  // namespace
 
 int64_t EliminateDeadCode(Func& func) {
-  std::map<const Value*, int64_t> uses = CountUses(func);
+  UseCounts uses = CountUses(func);
   return DceBlock(func.body(), uses);
 }
 

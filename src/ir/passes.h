@@ -8,6 +8,7 @@
 
 #include <map>
 #include <memory>
+#include <unordered_map>
 
 #include "src/ir/ir.h"
 
@@ -15,6 +16,9 @@ namespace partir {
 
 /** Maps values of a source function to values of its clone. */
 using ValueMap = std::map<const Value*, Value*>;
+
+/** Number of operand uses of each value (values never used are absent). */
+using UseCounts = std::unordered_map<const Value*, int64_t>;
 
 /**
  * Clones `func` into a new function appended to `module`, returning the
@@ -34,7 +38,7 @@ std::unique_ptr<Module> CloneModule(const Module& module,
 int64_t EliminateDeadCode(Func& func);
 
 /** Counts uses of every value in a function (including region bodies). */
-std::map<const Value*, int64_t> CountUses(const Func& func);
+UseCounts CountUses(const Func& func);
 
 }  // namespace partir
 

@@ -78,11 +78,6 @@ struct SpmdModule {
     InvalidatePlan();
     return module->main();
   }
-  /** Replaces the module wholesale (rebuild-style rewrite passes). */
-  void ResetModule(std::unique_ptr<Module> next) {
-    InvalidatePlan();
-    module = std::move(next);
-  }
   void InvalidatePlan() {
     plan.reset();
     exec_program.reset();

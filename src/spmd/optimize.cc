@@ -1,8 +1,10 @@
 #include "src/spmd/optimize.h"
 
 #include <algorithm>
-#include <sstream>
 #include <map>
+#include <memory>
+#include <sstream>
+#include <unordered_map>
 
 #include "src/ir/builder.h"
 #include "src/ir/passes.h"
@@ -37,67 +39,55 @@ bool AxesDisjoint(const std::vector<std::string>& a,
   return true;
 }
 
-// Rebuilds the function applying the enabled peephole rewrites; returns
-// rewrite count.
+// Rewrites `main` in place applying the enabled peephole rewrites; returns
+// the rewrite count. The sweep moves the body's ops out and re-appends each
+// op no rewrite matches (without copying it), appending the ops a rewrite
+// builds in place of the op it replaces. The use counts are taken when the
+// sweep starts, so every match reads the def chains as they were then too:
+// replaced ops stay alive, and operands are rewired through the value map
+// only once the sweep is done — including operands inside nested regions,
+// which the sweep keeps intact.
 class Peephole {
  public:
   Peephole(SpmdModule& spmd, unsigned rewrites)
       : spmd_(spmd), enabled_(rewrites) {}
 
   int64_t RunOnce() {
-    Func* func = spmd_.main();
+    Func* func = spmd_.mutable_main();  // drops any collective plan
+    Block& body = func->body();
     uses_ = CountUses(*func);
-    Module scratch;
-    Func* next = scratch.AddFunc(func->name());
-    builder_.SetInsertionBlock(&next->body());
+    builder_.SetInsertionBlock(&body);
     const Mesh& mesh = spmd_.mesh;
     builder_.SetAxisSizeFn(
         [&mesh](const std::string& axis) { return mesh.AxisSize(axis); });
     rewrites_ = 0;
     map_.clear();
     slice_cse_.clear();
-    for (const auto& arg : func->body().args()) {
-      map_[arg.get()] = next->body().AddArg(arg->type(), arg->name());
+    std::vector<std::unique_ptr<Operation>> replaced;
+    for (std::unique_ptr<Operation>& op : body.TakeOps()) {
+      if (VisitOp(*op)) {
+        replaced.push_back(std::move(op));
+      } else {
+        body.Append(std::move(op));
+      }
     }
-    for (const auto& op : func->body().ops()) {
-      VisitOp(*op);
-    }
-    // Swap the rebuilt function into the module (through the helper that
-    // drops any precomputed collective plan).
-    auto fresh = std::make_unique<Module>();
-    CloneFunc(*next, *fresh, func->name(), nullptr);
-    spmd_.ResetModule(std::move(fresh));
+    WalkOps(body, [this](Operation& op) {
+      for (int i = 0; i < op.num_operands(); ++i) {
+        auto it = map_.find(op.operand(i));
+        if (it != map_.end()) op.set_operand(i, it->second);
+      }
+    });
     return rewrites_;
   }
 
  private:
   bool Enabled(unsigned mask) const { return (enabled_ & mask) != 0; }
 
-  Value* Mapped(const Value* value) {
+  // The value `value` stands for after the sweep: the replacement of a
+  // rewritten op's result, else the value itself.
+  Value* Mapped(Value* value) const {
     auto it = map_.find(value);
-    PARTIR_CHECK(it != map_.end()) << "optimize: unmapped value";
-    return it->second;
-  }
-
-  Operation* CloneWithMappedOperands(const Operation& op) {
-    std::vector<Value*> operands;
-    for (const Value* operand : op.operands()) {
-      operands.push_back(Mapped(operand));
-    }
-    std::vector<Type> result_types;
-    for (int i = 0; i < op.num_results(); ++i) {
-      result_types.push_back(op.result(i)->type());
-    }
-    Operation* clone = builder_.Create(op.kind(), std::move(operands),
-                                       std::move(result_types));
-    for (const auto& [name, attr] : op.attrs().raw()) {
-      clone->attrs().Set(name, attr);
-    }
-    for (int i = 0; i < op.num_results(); ++i) {
-      clone->result(i)->set_name(op.result(i)->name());
-      map_[op.result(i)] = clone->result(i);
-    }
-    return clone;
+    return it == map_.end() ? value : it->second;
   }
 
   std::string SliceKey(const Operation& op) {
@@ -110,13 +100,12 @@ class Peephole {
     return key.str();
   }
 
-  void VisitOp(const Operation& op) {
+  // Applies the first enabled rewrite matching `op`; returns true if one
+  // did, with the op's result mapped to its replacement.
+  bool VisitOp(const Operation& op) {
     switch (op.kind()) {
       case OpKind::kAllSlice: {
-        if (!Enabled(kRewriteGatherSlice)) {
-          if (!RewriteAllSlice(op)) CloneWithMappedOperands(op);
-          return;
-        }
+        if (!Enabled(kRewriteGatherSlice)) return RewriteAllSlice(op);
         // CSE identical slices: all_slice is communication-free and local,
         // so sharing one shard among uses changes neither collective counts
         // nor peak memory (unlike all_gather, which is deliberately
@@ -126,15 +115,14 @@ class Peephole {
         if (seen != slice_cse_.end()) {
           map_[op.result()] = seen->second;
           ++rewrites_;
-          return;
+          return true;
         }
-        if (!RewriteAllSlice(op)) CloneWithMappedOperands(op);
-        slice_cse_[key] = map_[op.result()];
-        return;
+        bool rewritten = RewriteAllSlice(op);
+        slice_cse_[key] = Mapped(op.result());
+        return rewritten;
       }
       case OpKind::kAllGather:
-        if (Enabled(kRewriteGatherSlice) && RewriteAllGather(op)) return;
-        break;
+        return Enabled(kRewriteGatherSlice) && RewriteAllGather(op);
       case OpKind::kAllReduce:
         // No-op removal belongs to the gather/slice family with the other
         // empty-axes collectives; merging is reduce-scatter formation.
@@ -142,22 +130,16 @@ class Peephole {
             op.attrs().Get<std::vector<std::string>>("axes").empty()) {
           map_[op.result()] = Mapped(op.operand(0));
           ++rewrites_;
-          return;
+          return true;
         }
-        if (Enabled(kRewriteReduceScatter) && RewriteAllReduce(op)) return;
-        break;
+        return Enabled(kRewriteReduceScatter) && RewriteAllReduce(op);
       case OpKind::kAdd:
-        if (Enabled(kRewriteReduceScatter) && RewriteAddOfAllReduces(op)) {
-          return;
-        }
-        break;
+        return Enabled(kRewriteReduceScatter) && RewriteAddOfAllReduces(op);
       case OpKind::kTranspose:
-        if (RewriteTranspose(op)) return;
-        break;
+        return RewriteTranspose(op);
       default:
-        break;
+        return false;
     }
-    CloneWithMappedOperands(op);
   }
 
   // Merges adjacent same-reduction all_reduces into one multi-axis
@@ -441,8 +423,8 @@ class Peephole {
   SpmdModule& spmd_;
   unsigned enabled_;
   OpBuilder builder_{nullptr};
-  std::map<const Value*, Value*> map_;
-  std::map<const Value*, int64_t> uses_;
+  std::unordered_map<const Value*, Value*> map_;
+  UseCounts uses_;
   std::map<std::string, Value*> slice_cse_;
   int64_t rewrites_ = 0;
 };

@@ -45,9 +45,12 @@ inline constexpr unsigned kRewriteAllSpmd =
     kRewriteGatherSlice | kRewriteReduceScatter | kRewriteReduceScatterPartial;
 
 /**
- * One peephole sweep: rebuilds the module applying the masked rewrite
+ * One peephole sweep: rewrites `main` in place applying the masked rewrite
  * families and returns the number of rewrites applied (no DCE — run
- * EliminateDeadCode separately). Drops the module's collective plan.
+ * EliminateDeadCode separately). The Module object and every op no rewrite
+ * matches (with its nested regions) survive the sweep; the ops a rewrite
+ * replaces are deleted, and producers it leaves unused wait for DCE. Drops
+ * the module's collective plan and compiled device program.
  */
 int64_t RunSpmdPeephole(SpmdModule& spmd, unsigned rewrites);
 

@@ -417,7 +417,7 @@ TEST(PlanInvalidationTest, MutableAccessDropsTheStalePlan) {
   (void)spmd.mutable_main();
   EXPECT_EQ(spmd.plan, nullptr);
   spmd.plan = BuildCollectivePlan(spmd.mesh, *spmd.module);
-  RunSpmdPeephole(spmd, kRewriteAllSpmd);  // module rebuild resets the plan
+  RunSpmdPeephole(spmd, kRewriteAllSpmd);  // every sweep drops the plan
   EXPECT_EQ(spmd.plan, nullptr);
   // Run replans ad hoc and still works.
   std::vector<Tensor> inputs = program.RandomInputs(3);

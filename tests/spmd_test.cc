@@ -3,13 +3,18 @@
 // multi-device runtime, RunSpmd (the executable Appendix C theorem).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "src/core/context.h"
+#include "src/exec/device_program.h"
 #include "src/interp/interpreter.h"
 #include "src/ir/builder.h"
 #include "src/ir/printer.h"
+#include "src/ir/passes.h"
+#include "src/spmd/collectives.h"
 #include "src/spmd/lowering.h"
 #include "src/spmd/optimize.h"
-#include "src/ir/passes.h"
 #include "src/spmd/spmd_interpreter.h"
 
 namespace partir {
@@ -415,6 +420,132 @@ TEST(SpmdOptimizeTest, SubsetFormationUnchangedByPartialBit) {
     CollectiveStats stats = CountCollectives(*spmd.module, spmd.mesh);
     EXPECT_EQ(stats.reduce_scatter, 1) << "mask " << mask;
     EXPECT_EQ(stats.all_reduce, 1) << "mask " << mask;  // leftover {b}
+  }
+}
+
+TEST(SpmdOptimizeTest, SweepRewritesInPlace) {
+  // A sweep that rewrites keeps the Module object and every op no rewrite
+  // matched, rewires their operands to the replacements, and leaves no
+  // stale collective plan or compiled device program behind.
+  Mesh mesh({{"a", 2}});
+  OpBuilder builder(nullptr);
+  SpmdModule spmd = EmptySpmd(mesh, builder);
+  Value* x = spmd.main()->body().AddArg(TensorType({8, 8}), "x");
+  Value* reduced = builder.AllReduce(x, {"a"}, "sum");
+  Value* sliced = builder.AllSlice(reduced, {{"a"}, {}});
+  Value* local = builder.Tanh(sliced);
+  builder.Return({local, reduced});
+  ValueSharding replicated{AxesPerDim{{}, {}}};
+  spmd.input_shardings = {replicated};
+  spmd.output_shardings = {ValueSharding{AxesPerDim{{"a"}, {}}}, replicated};
+  spmd.plan = BuildCollectivePlan(spmd.mesh, *spmd.module);
+  spmd.exec_program = exec::CompileDeviceProgram(spmd).value();
+
+  const Module* module = spmd.module.get();
+  std::vector<const Operation*> unmatched;
+  for (const auto& op : spmd.main()->body().ops()) {
+    if (op->kind() != OpKind::kAllSlice) unmatched.push_back(op.get());
+  }
+  EXPECT_EQ(RunSpmdPeephole(spmd, kRewriteAllSpmd), 1);
+  EXPECT_EQ(spmd.module.get(), module);
+  EXPECT_EQ(spmd.plan, nullptr);
+  EXPECT_EQ(spmd.exec_program, nullptr);
+  std::vector<const Operation*> after;
+  for (const auto& op : spmd.main()->body().ops()) after.push_back(op.get());
+  for (size_t i = 0; i < unmatched.size(); ++i) {
+    // ASSERT: an op that was not kept is gone, so it must not be read.
+    ASSERT_NE(std::find(after.begin(), after.end(), unmatched[i]),
+              after.end())
+        << "unmatched op #" << i << " was not kept in place";
+  }
+  // The tanh now reads the reduce_scatter that replaced the slice.
+  const Operation* tanh = unmatched[1];
+  ASSERT_EQ(tanh->kind(), OpKind::kTanh);
+  ASSERT_NE(tanh->operand(0)->def(), nullptr);
+  EXPECT_EQ(tanh->operand(0)->def()->kind(), OpKind::kReduceScatter);
+  EXPECT_EQ(spmd.main()->results()[1], reduced);
+}
+
+TEST(SpmdOptimizeTest, OptimizeKeepsLoopRegions) {
+  // A device-local module still carrying loop regions: a tile loop whose
+  // body reads a no-op all_gather the sweep removes, a sum loop with a
+  // nested tile loop, and an any loop. Optimizing must keep every loop
+  // body, rewire the region's read to the gather's operand, and leave the
+  // program computing bit-for-bit what it computed before.
+  Mesh mesh({{"B", 2}});
+  OpBuilder builder(nullptr);
+  SpmdModule spmd = EmptySpmd(mesh, builder);
+  Value* x = spmd.main()->body().AddArg(TensorType({8, 4}), "x");
+  Value* w = spmd.main()->body().AddArg(TensorType({4, 6}), "w");
+  Value* gathered = builder.AllGather(x, {{}, {}});
+  Operation* tile = builder.Loop("T", 4, "tile", 0, TensorType({8, 6}));
+  Operation* slice = nullptr;
+  {
+    Block& body = tile->region(0).block();
+    OpBuilder inner(&body);
+    Value* xs = inner.PSlice(gathered, body.arg(0), 0);
+    slice = xs->def();
+    Value* h = inner.MatMul(xs, w);
+    inner.Yield(&body, {inner.Tanh(inner.Mul(h, h))});
+  }
+  Operation* sum = builder.Loop("S", 2, "sum", -1, TensorType({8, 6}));
+  {
+    Block& sbody = sum->region(0).block();
+    OpBuilder sinner(&sbody);
+    Operation* nested = sinner.Loop("N", 2, "tile", 1, TensorType({8, 6}));
+    Block& nbody = nested->region(0).block();
+    OpBuilder ninner(&nbody);
+    Value* part = ninner.PSlice(tile->result(), nbody.arg(0), 1);
+    ninner.Yield(&nbody, {ninner.Exp(part)});
+    sinner.Yield(&sbody, {sinner.Mul(nested->result(), nested->result())});
+  }
+  Operation* any = builder.Loop("A", 2, "any", -1, TensorType({8, 6}));
+  {
+    Block& abody = any->region(0).block();
+    OpBuilder ainner(&abody);
+    ainner.Yield(&abody, {sum->result()});
+  }
+  builder.Return({tile->result(), any->result()});
+  ValueSharding replicated{AxesPerDim{{}, {}}};
+  spmd.input_shardings = {replicated, replicated};
+  spmd.output_shardings = {replicated, replicated};
+
+  RunOptions walker;
+  walker.backend = ExecBackend::kInterpret;
+  std::vector<Tensor> inputs = {Tensor::Random({8, 4}, 51),
+                                Tensor::Random({4, 6}, 52)};
+  std::vector<Tensor> want = RunSpmd(spmd, inputs, walker).value();
+
+  EXPECT_EQ(OptimizeSpmd(spmd), 1);  // the no-op gather
+  int loops = 0;
+  WalkOps(spmd.main()->body(), [&](const Operation& op) {
+    if (op.kind() != OpKind::kLoop) return;
+    ++loops;
+    ASSERT_EQ(op.num_regions(), 1) << "loop lost its region";
+    EXPECT_GT(op.region().block().num_ops(), 0) << "loop lost its body";
+  });
+  ASSERT_EQ(loops, 4);
+  EXPECT_EQ(slice->operand(0), x);
+  EXPECT_EQ(CountCollectives(*spmd.module, spmd.mesh).all_gather, 0);
+
+  auto expect_bit_identical = [&](const std::vector<Tensor>& got,
+                                  const std::string& label) {
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].dims(), want[i].dims()) << label << " output " << i;
+      EXPECT_EQ(std::memcmp(got[i].data().data(), want[i].data().data(),
+                            want[i].data().size() * sizeof(float)),
+                0)
+          << label << " output " << i << " is not bit-identical";
+    }
+  };
+  expect_bit_identical(RunSpmd(spmd, inputs, walker).value(), "walker");
+  for (int num_threads : {1, 0}) {
+    RunOptions compiled;
+    compiled.num_threads = num_threads;
+    expect_bit_identical(
+        RunSpmd(spmd, inputs, compiled).value(),
+        "compiled (threads=" + std::to_string(num_threads) + ")");
   }
 }
 
