@@ -42,9 +42,7 @@ int main() {
       ManualPartition{"MP", {{"w1", 1}}, "M"},
       ManualPartition{"Z3", {{"w1", 0}, {"w2", 1}}, "B"},
   };
-  PartitionOptions options;
-  options.capture_stages = true;  // keep every tactic's loop form around
-  StatusOr<Executable> compiled = program.Partition(schedule, mesh, options);
+  StatusOr<Executable> compiled = program.Partition(schedule, mesh);
   if (!compiled.ok()) {
     std::fprintf(stderr, "partitioning failed: %s\n",
                  compiled.status().ToString().c_str());

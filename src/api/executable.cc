@@ -6,6 +6,7 @@
 #include "src/exec/worker_pool.h"
 #include "src/ir/fingerprint.h"
 #include "src/ir/printer.h"
+#include "src/pass/pipeline.h"
 #include "src/persist/serializer.h"
 #include "src/persist/store.h"
 #include "src/spmd/spmd_interpreter.h"
@@ -86,37 +87,31 @@ analysis::AnalysisReport Executable::Analyze() const {
 }
 
 StatusOr<std::string> Executable::Print(Stage stage) const {
-  // Every intermediate form is served from the pass manager's stage
-  // snapshots; only the endpoints (the traced source, the live device-local
-  // module) are always present without capture.
+  // Loop forms are not kept: each one is recomputed from the schedule.
+  auto print_loop_form = [&](int count, bool deferred_propagation)
+      -> StatusOr<std::string> {
+    PartitionContext ctx(traced_, mesh());
+    PARTIR_ASSIGN_OR_RETURN(std::unique_ptr<Module> loops,
+                            ReplayLoopForm(ctx, schedule_, count,
+                                           deferred_propagation, options_));
+    return partir::Print(*loops);
+  };
+  const int num_tactics = static_cast<int>(schedule_.size());
   switch (stage.kind_) {
     case Stage::Kind::kSource:
       return partir::Print(*traced_);
-    case Stage::Kind::kAfterTactic: {
-      if (stage.index_ < 0 ||
-          stage.index_ >= static_cast<int>(result_.tactics.size())) {
+    case Stage::Kind::kAfterTactic:
+      if (stage.index_ < 0 || stage.index_ >= num_tactics) {
         return InvalidArgumentError("no tactic ", stage.index_,
-                                    "; the schedule has ",
-                                    result_.tactics.size(), " tactics");
+                                    "; the schedule has ", num_tactics,
+                                    " tactics");
       }
-      for (const StageSnapshot& snapshot : result_.snapshots) {
-        if (snapshot.tactic_index == stage.index_ &&
-            snapshot.form == StageSnapshot::Form::kLoops) {
-          return partir::Print(*snapshot.module);
-        }
-      }
-      return FailedPreconditionError(
-          "loop form after tactic '", result_.tactics[stage.index_].name,
-          "' was not captured; partition with "
-          "PartitionOptions::capture_stages=true");
-    }
+      // PartIR-st's deferred propagation runs after the last tactic only.
+      return print_loop_form(stage.index_ + 1,
+                             /*deferred_propagation=*/false);
     case Stage::Kind::kLoops:
-      for (const StageSnapshot& snapshot : result_.snapshots) {
-        if (snapshot.final_loops) return partir::Print(*snapshot.module);
-      }
-      return FailedPreconditionError(
-          "final loop form was not captured; partition with "
-          "PartitionOptions::capture_stages=true");
+      return print_loop_form(num_tactics,
+                             /*deferred_propagation=*/!options_.incremental);
     case Stage::Kind::kSpmd:
       return partir::Print(*result_.spmd.module);
   }
@@ -145,7 +140,8 @@ StatusOr<Executable> Executable::Respecialize(
       PartitionResult result,
       PartitionThroughCache(*cache_, FingerprintFunc(*traced_), traced_,
                             mesh(), new_schedule, options));
-  return Executable(module_, traced_, options, std::move(result), cache_);
+  return Executable(module_, traced_, new_schedule, options,
+                    std::move(result), cache_);
 }
 
 }  // namespace partir

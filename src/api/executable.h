@@ -4,9 +4,10 @@
  * Program::Partition. It owns the lowered device-local SPMD module together
  * with everything the paper's workflow inspects after partitioning:
  * per-tactic TacticReports, input/output shardings, the recorded
- * propagation conflicts, and the intermediate PartIR:Core loop form after
- * every tactic prefix (exposed through Print(Stage) — the paper's
- * "verify the strategy after every tactic" loop as a first-class API).
+ * propagation conflicts, and the schedule it was partitioned with, from
+ * which Print(Stage) recomputes the PartIR:Core loop form after any tactic
+ * prefix (the paper's "verify the strategy after every tactic" loop as a
+ * first-class API).
  */
 #ifndef PARTIR_API_EXECUTABLE_H_
 #define PARTIR_API_EXECUTABLE_H_
@@ -56,8 +57,12 @@ Status ValidateInputs(const Func& func, const std::vector<Tensor>& inputs);
  * A point in the partitioning pipeline whose module form Executable::Print
  * can render:
  *   Stage::Source()        the traced (unpartitioned) program
- *   Stage::AfterTactic(i)  PartIR:Core loop form after tactics [0..i]
- *   Stage::Loops()         loop form after the full schedule
+ *   Stage::AfterTactic(i)  PartIR:Core loop form after tactics [0..i]: after
+ *                          tactic i's propagation in incremental mode, after
+ *                          its bare actions in PartIR-st (automatic tactics
+ *                          propagate internally)
+ *   Stage::Loops()         loop form after the full schedule (PartIR-st:
+ *                          after the deferred propagation)
  *   Stage::Spmd()          the final device-local SPMD module
  */
 class Stage {
@@ -95,9 +100,8 @@ class Executable {
    * own thread with rendezvous collectives (RunOptions);
    * options.num_threads == 1 runs the devices one after another on the
    * calling thread. options.backend = ExecBackend::kInterpret selects the
-   * sequential reference walker instead, which ignores num_threads,
-   * deterministic and the pool. Under the (default) deterministic mode
-   * every one of these is bit-identical to the walker.
+   * sequential reference walker instead, which ignores num_threads and
+   * the pool. Every one of these is bit-identical to the walker.
    *
    * Threaded Runs reuse this executable's persistent worker pool (one
    * resident thread per device, created on the first threaded Run) instead
@@ -145,9 +149,14 @@ class Executable {
     return result_.analysis;
   }
 
-  /** Renders the module form at a pipeline stage. Errors when the stage was
-   *  not captured (PartitionOptions::capture_stages=false) or is out of
-   *  range. */
+  /**
+   * Renders the module form at a pipeline stage. The source and the
+   * device-local module are held; a loop-form stage is recomputed by
+   * replaying the schedule's tactic prefix on a fresh context
+   * (ReplayLoopForm), so it costs a partial partition per call. Errors with
+   * kInvalidArgument for an out-of-range tactic index, and with kInternal
+   * if the recomputed loop form fails the IR verifier.
+   */
   StatusOr<std::string> Print(Stage stage) const;
 
   /** Per-tactic metadata, in schedule order. */
@@ -166,10 +175,6 @@ class Executable {
    * A cache hit carries the stats of the original miss run verbatim.
    */
   const PipelineStats& pipeline_stats() const { return result_.pipeline; }
-  /** Stage snapshots Print(Stage) renders (capture_stages). */
-  const std::vector<StageSnapshot>& snapshots() const {
-    return result_.snapshots;
-  }
 
   const Mesh& mesh() const { return result_.spmd.mesh; }
   int num_inputs() const {
@@ -197,7 +202,7 @@ class Executable {
   /**
    * Saves the full partition result to `path` in the persistent-cache
    * entry format (src/persist/): the device-local SPMD module, shardings,
-   * per-tactic reports, pipeline statistics and stage snapshots, framed
+   * per-tactic reports and pipeline statistics, framed
    * with a version and checksum and written via temp-file + atomic rename.
    * The payload is exactly what the partition cache's disk tier stores, so
    * a saved result can be decoded with persist::DecodeEntry +
@@ -229,14 +234,15 @@ class Executable {
   exec::WorkerPool* EnsurePool() const;
 
   Executable(std::shared_ptr<Module> module, Func* traced,
-             PartitionOptions options, PartitionResult result,
-             std::shared_ptr<PartitionCache> cache)
+             std::vector<Tactic> schedule, PartitionOptions options,
+             PartitionResult result, std::shared_ptr<PartitionCache> cache)
       : module_(std::move(module)), traced_(traced),
-        options_(std::move(options)), result_(std::move(result)),
-        cache_(std::move(cache)) {}
+        schedule_(std::move(schedule)), options_(std::move(options)),
+        result_(std::move(result)), cache_(std::move(cache)) {}
 
   std::shared_ptr<Module> module_;  // keeps the traced IR alive
   Func* traced_;                    // the traced function inside module_
+  std::vector<Tactic> schedule_;    // what Print replays for loop forms
   PartitionOptions options_;
   PartitionResult result_;  // its spmd.mesh is the mesh of record
   std::shared_ptr<PartitionCache> cache_;  // the Program's partition cache

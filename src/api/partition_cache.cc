@@ -289,8 +289,7 @@ std::string PartitionCacheKey(uint64_t trace_fingerprint,
   return StrCat(
       "trace:", trace_fingerprint, "|mesh:", MeshKey(mesh),
       "|opts:", DeviceKey(options.device), ",", options.incremental, ",",
-      options.per_tactic_reports, ",", options.capture_stages, ",",
-      options.boundary_realization,
+      options.per_tactic_reports, ",", options.boundary_realization,
       "|schedule:", StrJoin(schedule, ",", TacticKey));
 }
 
@@ -317,19 +316,6 @@ PartitionResult ClonePartitionResult(
   out.conflicts = result->conflicts;
   out.pipeline = result->pipeline;
   out.analysis = result->analysis;
-  // Clone the stage snapshots along with the module, so a cache-hit
-  // executable's printable stages are as self-contained as its spmd module.
-  // Snapshots that alias one module (the final loop form aliasing the last
-  // tactic's capture) keep aliasing the same clone.
-  std::map<const Module*, std::shared_ptr<const Module>> cloned;
-  out.snapshots.reserve(result->snapshots.size());
-  for (const StageSnapshot& snapshot : result->snapshots) {
-    std::shared_ptr<const Module>& clone = cloned[snapshot.module.get()];
-    if (clone == nullptr) clone = CloneModule(*snapshot.module);
-    StageSnapshot copy = snapshot;
-    copy.module = clone;
-    out.snapshots.push_back(std::move(copy));
-  }
   return out;
 }
 

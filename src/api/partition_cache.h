@@ -206,11 +206,8 @@ std::string PartitionCacheKey(uint64_t trace_fingerprint,
 
 /**
  * Deep copy of a partition result: re-clones the device-local module and
- * rebuilds its collective plan, and re-clones every stage snapshot module
- * (preserving the aliasing structure within the snapshot list — e.g. the
- * final loop form aliasing the last tactic's capture), so the copy is fully
- * self-contained: Print(Stage) on a cache-hit executable can never observe
- * another executable's (or the cache entry's) modules.
+ * rebuilds its collective plan, so a cache-hit executable never shares a
+ * module with another executable (or the cache entry).
  *
  * The compiled device program is NOT recompiled: it is immutable and pinned
  * to the cached entry's module, so every clone shares it (an aliasing

@@ -70,7 +70,8 @@ StatusOr<Executable> Program::Partition(const std::vector<Tactic>& schedule,
       PartitionResult result,
       PartitionThroughCache(*cache_, TraceFingerprint(), func_, mesh,
                             schedule, options));
-  return Executable(module_, func_, options, std::move(result), cache_);
+  return Executable(module_, func_, schedule, options, std::move(result),
+                    cache_);
 }
 
 StatusOr<std::vector<Tensor>> Program::Evaluate(

@@ -241,7 +241,7 @@ void RunThreadedExec(const DeviceProgram& program, const RunOptions& options,
       GroupSite& site = sites[inst.site_base + col.groups->group_of[device]];
       Tensor output = RendezvousExchange(
           col, site, col.groups->position_of[device],
-          TakeOperand(inst, arena), options.deterministic, &throttle);
+          TakeOperand(inst, arena), &throttle);
       arena[inst.result_slots[0]] = std::move(output);
     }
     throttle.Release();

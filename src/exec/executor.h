@@ -38,8 +38,7 @@ int Concurrency(const RunOptions& options, int64_t num_devices);
  * Runs `program` on every device of `spmd.mesh`. `global_inputs` are
  * global tensors (sharded per the module's input shardings; must already
  * be validated); returns global outputs reassembled per the output
- * shardings. Honors RunOptions::num_threads, deterministic, pool and
- * use_pool.
+ * shardings. Honors RunOptions::num_threads, pool and use_pool.
  */
 StatusOr<std::vector<Tensor>> ExecuteCompiled(
     const SpmdModule& spmd, const DeviceProgram& program,

@@ -1,6 +1,6 @@
 #include "src/ir/verifier.h"
 
-#include <set>
+#include <unordered_set>
 
 #include "src/support/str_util.h"
 
@@ -13,23 +13,30 @@ class VerifierState {
 
   void Error(const std::string& message) { diags_->push_back(message); }
 
-  void VerifyBlock(const Block& block, std::set<const Value*> visible) {
-    for (const auto& arg : block.args()) visible.insert(arg.get());
+  /** Verifies `block` and the regions nested in it. A block's arguments
+   *  and results join the one visible set as the walk reaches them and
+   *  leave it when the walk leaves the block, so a region sees every
+   *  enclosing definition but none of its own values outlive it. */
+  void VerifyBlock(const Block& block) {
+    std::vector<const Value*> defined;  // what this block added to visible_
+    auto define = [&](const Value* value) {
+      if (visible_.insert(value).second) defined.push_back(value);
+    };
+    for (const auto& arg : block.args()) define(arg.get());
     for (const auto& op : block.ops()) {
       for (const Value* operand : op->operands()) {
-        if (!visible.count(operand)) {
+        if (!visible_.count(operand)) {
           Error(StrCat("op '", OpKindName(op->kind()),
                        "' uses value not dominating it"));
         }
       }
       VerifyOp(*op);
       for (int r = 0; r < op->num_regions(); ++r) {
-        VerifyBlock(op->region(r).block(), visible);
+        VerifyBlock(op->region(r).block());
       }
-      for (int i = 0; i < op->num_results(); ++i) {
-        visible.insert(op->result(i));
-      }
+      for (int i = 0; i < op->num_results(); ++i) define(op->result(i));
     }
+    for (const Value* value : defined) visible_.erase(value);
   }
 
   void VerifyOp(const Operation& op) {
@@ -162,6 +169,7 @@ class VerifierState {
 
  private:
   std::vector<std::string>* diags_;
+  std::unordered_set<const Value*> visible_;  // definitions in scope
 };
 
 }  // namespace
@@ -175,7 +183,7 @@ void VerifyFuncInto(const Func& func, std::vector<std::string>& diags) {
     diags.push_back(StrCat("func @", func.name(), " must end in return"));
     return;
   }
-  state.VerifyBlock(func.body(), {});
+  state.VerifyBlock(func.body());
 }
 
 }  // namespace

@@ -4,17 +4,15 @@
  * compiler as a *sequence of composable rewrite stages*, made first-class):
  * a Pass is a named rewrite over the shared PipelineState; a PassManager
  * (pass_manager.h) owns an ordered pipeline of them, verifies the IR
- * between passes, records per-pass statistics and captures printable
- * snapshots per stage. Every future rewrite stage — serving batcher
- * pre-passes, new collective formations, autopart instrumentation — is one
- * Pass subclass registered in the pipeline declaration (pipeline.cc)
- * instead of another splice into program.cc.
+ * between passes and records per-pass statistics. Every future rewrite
+ * stage — serving batcher pre-passes, new collective formations, autopart
+ * instrumentation — is one Pass subclass registered in the pipeline
+ * declaration (pipeline.cc) instead of another splice into program.cc.
  */
 #ifndef PARTIR_PASS_PASS_H_
 #define PARTIR_PASS_PASS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,29 +50,6 @@ struct PipelineState {
    */
   int64_t changes = 0;
 
-  /**
-   * The loop-form module most recently materialized for a stage snapshot,
-   * valid while loop_snapshot_current holds (no pass changed the context
-   * since). The manager aliases it for later loop-form stages instead of
-   * cloning again — e.g. the final loop form after an incremental schedule
-   * is the last tactic's capture.
-   */
-  std::shared_ptr<const Module> last_loop_snapshot;
-  bool loop_snapshot_current = false;
-  /** Whether last_loop_snapshot has passed the IR verifier — materializing
-   *  anywhere (a pass or the manager's capture) clears it, so a snapshot
-   *  is verified exactly once no matter who produced it. */
-  bool loop_snapshot_verified = false;
-
-  /**
-   * Makes last_loop_snapshot a current materialization of the context's
-   * loop form: re-materializes when a pass changed the context since the
-   * last one (clearing loop_snapshot_verified), aliases it otherwise. The
-   * single owner of the aliasing/verify-once invariant — both
-   * MaterializeLoopsPass and the manager's snapshot capture go through it.
-   */
-  void EnsureLoopSnapshot();
-
   /** Ops in the live IR: the SPMD module once lowered, else the traced
    *  function (tiling state adds no ops until materialization). */
   int64_t CurrentOpCount() const;
@@ -88,7 +63,7 @@ class Pass {
  public:
   virtual ~Pass() = default;
 
-  /** Stable name, used in statistics, snapshots and error messages. */
+  /** Stable name, used in statistics and error messages. */
   virtual std::string name() const = 0;
 
   /**

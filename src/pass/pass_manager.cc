@@ -2,8 +2,6 @@
 
 #include <chrono>
 
-#include "src/ir/passes.h"
-#include "src/ir/verifier.h"
 #include "src/support/str_util.h"
 
 namespace partir {
@@ -20,9 +18,10 @@ double SecondsSince(Clock::time_point start) {
 PassManager::PassManager(PipelineOptions options)
     : options_(std::move(options)) {}
 
-PassManager& PassManager::AddPass(std::unique_ptr<Pass> pass, StageTag tag) {
+PassManager& PassManager::AddPass(std::unique_ptr<Pass> pass,
+                                  int tactic_index) {
   PARTIR_CHECK(pass != nullptr) << "PassManager::AddPass: null pass";
-  entries_.push_back(Entry{std::move(pass), tag, 1, 1});
+  entries_.push_back(Entry{std::move(pass), tactic_index, 1, 1});
   return *this;
 }
 
@@ -32,7 +31,7 @@ PassManager& PassManager::AddFixpoint(std::vector<std::unique_ptr<Pass>> group,
   PARTIR_CHECK(max_iterations >= 1);
   int size = static_cast<int>(group.size());
   for (int i = 0; i < size; ++i) {
-    entries_.push_back(Entry{std::move(group[i]), StageTag{},
+    entries_.push_back(Entry{std::move(group[i]), -1,
                              i == 0 ? size : 1, i == 0 ? max_iterations : 1});
   }
   return *this;
@@ -63,14 +62,11 @@ StatusOr<int64_t> PassManager::RunOne(Entry& entry, PassStats& stats,
     stats.collectives =
         CountCollectives(*state.result.spmd.module, state.result.spmd.mesh);
   }
-  // A pre-lowering pass that changed the partitioning state invalidates any
-  // previously materialized loop-form snapshot.
-  if (!state.lowered && state.changes > 0) state.loop_snapshot_current = false;
   // Attribute the pass's wall-clock to its tactic's report (the paper's
   // per-tactic timing), once the tactic pass has created that report.
-  if (entry.tag.tactic_index >= 0 &&
-      entry.tag.tactic_index < static_cast<int>(state.result.tactics.size())) {
-    state.result.tactics[entry.tag.tactic_index].tactic_seconds += seconds;
+  if (entry.tactic_index >= 0 &&
+      entry.tactic_index < static_cast<int>(state.result.tactics.size())) {
+    state.result.tactics[entry.tactic_index].tactic_seconds += seconds;
   }
   return state.changes;
 }
@@ -84,38 +80,6 @@ Status PassManager::VerifyAfter(const std::string& pass_name,
   if (diags.empty()) return Status::Ok();
   return InternalError("IR verification failed after pass '", pass_name,
                        "': ", StrJoin(diags, "; "));
-}
-
-Status PassManager::CaptureSnapshot(const Entry& entry, PipelineState& state) {
-  if (!options_.capture_snapshots) return Status::Ok();
-  StageSnapshot snapshot;
-  snapshot.pass = entry.pass->name();
-  snapshot.tactic_index = entry.tag.tactic_index;
-  snapshot.final_loops = entry.tag.final_loops;
-  if (state.lowered) {
-    snapshot.form = StageSnapshot::Form::kSpmd;
-    snapshot.module = CloneModule(*state.result.spmd.module);
-  } else {
-    snapshot.form = StageSnapshot::Form::kLoops;
-    state.EnsureLoopSnapshot();
-    // Verify each materialized loop form exactly once, whether it was
-    // produced here or by a pass (MaterializeLoopsPass).
-    if (options_.verify_after_each_pass && !state.loop_snapshot_verified) {
-      auto start = Clock::now();
-      std::vector<std::string> diags = Verify(*state.last_loop_snapshot);
-      stats_.verify_seconds += SecondsSince(start);
-      ++stats_.verify_runs;
-      if (!diags.empty()) {
-        return InternalError("loop-form snapshot after pass '",
-                             entry.pass->name(), "' failed verification: ",
-                             StrJoin(diags, "; "));
-      }
-      state.loop_snapshot_verified = true;
-    }
-    snapshot.module = state.last_loop_snapshot;
-  }
-  state.result.snapshots.push_back(std::move(snapshot));
-  return Status::Ok();
 }
 
 Status PassManager::Run(PipelineState& state) {
@@ -134,9 +98,6 @@ Status PassManager::Run(PipelineState& state) {
       status = changes.status();
       if (status.ok() && options_.verify_after_each_pass) {
         status = VerifyAfter(entry.pass->name(), state);
-      }
-      if (status.ok() && entry.tag.stage_boundary) {
-        status = CaptureSnapshot(entry, state);
       }
       ++i;
       continue;
@@ -158,9 +119,6 @@ Status PassManager::Run(PipelineState& state) {
         }
       }
       if (iteration_changes == 0) break;
-    }
-    if (status.ok() && entries_[i].tag.stage_boundary) {
-      status = CaptureSnapshot(entries_[i], state);
     }
     i += group;
   }

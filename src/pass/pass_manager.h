@@ -7,8 +7,6 @@
  *   - per-pass wall-clock, op-delta and rewrite statistics (PipelineStats),
  *   - per-pass collective counts once the module is lowered (the per-stage
  *     Table 3 breakdown used to debug collective formation),
- *   - printable IR snapshots at stage-tagged passes (loop form before
- *     lowering, device-local module after) that Executable::Print serves,
  *   - fixpoint groups: a run of passes repeated until an iteration applies
  *     no rewrites (the collective-optimization stages).
  */
@@ -24,29 +22,13 @@
 
 namespace partir {
 
-/**
- * Marks how a registered pass participates in stage bookkeeping:
- * `tactic_index` attributes the pass's wall-clock to that tactic's
- * TacticReport and (with `stage_boundary`) makes the pass a printable
- * stage for Print(Stage::AfterTactic(i)); `final_loops` marks the final
- * loop-form stage.
- */
-struct StageTag {
-  int tactic_index = -1;
-  bool stage_boundary = false;
-  bool final_loops = false;
-
-  static StageTag Tactic(int index, bool boundary) {
-    return StageTag{index, boundary, false};
-  }
-};
-
 class PassManager {
  public:
   explicit PassManager(PipelineOptions options = {});
 
-  /** Appends a pass to the pipeline. */
-  PassManager& AddPass(std::unique_ptr<Pass> pass, StageTag tag = StageTag());
+  /** Appends a pass to the pipeline. A `tactic_index` >= 0 attributes the
+   *  pass's wall-clock to that tactic's TacticReport. */
+  PassManager& AddPass(std::unique_ptr<Pass> pass, int tactic_index = -1);
 
   /**
    * Appends a fixpoint group: the passes run in order, and the whole group
@@ -70,7 +52,7 @@ class PassManager {
  private:
   struct Entry {
     std::unique_ptr<Pass> pass;
-    StageTag tag;
+    int tactic_index = -1;   // TacticReport the pass's wall-clock goes to
     int group_size = 1;      // >1 on the head of a fixpoint group
     int max_iterations = 1;  // group iterations (head entry only)
   };
@@ -80,8 +62,6 @@ class PassManager {
                            PipelineState& state);
   /** Verifies the live IR after `pass_name` ran; typed error on failure. */
   Status VerifyAfter(const std::string& pass_name, PipelineState& state);
-  /** Captures a printable snapshot after a stage-boundary pass. */
-  Status CaptureSnapshot(const Entry& entry, PipelineState& state);
 
   PipelineOptions options_;
   std::vector<Entry> entries_;

@@ -103,13 +103,6 @@ Status TacticReportPass::Run(PipelineState& state) {
   return Status::Ok();
 }
 
-std::string MaterializeLoopsPass::name() const { return "materialize-loops"; }
-
-Status MaterializeLoopsPass::Run(PipelineState& state) {
-  state.EnsureLoopSnapshot();  // the manager verifies it at capture
-  return Status::Ok();
-}
-
 std::string LowerToSpmdPass::name() const { return "lower-to-spmd"; }
 
 Status LowerToSpmdPass::Run(PipelineState& state) {

@@ -1,10 +1,10 @@
 /**
  * @file
  * The registered passes of the partitioning pipeline — the paper's rewrite
- * stages (schedule actions -> propagation -> loop materialization -> SPMD
- * lowering -> collective optimization) as first-class Pass subclasses. The
- * pipeline itself is declared once, in pipeline.cc; these are its building
- * blocks (and the extension points future stages slot between).
+ * stages (schedule actions -> propagation -> SPMD lowering -> collective
+ * optimization) as first-class Pass subclasses. The pipeline itself is
+ * declared once, in pipeline.cc; these are its building blocks (and the
+ * extension points future stages slot between).
  */
 #ifndef PARTIR_PASS_PASSES_H_
 #define PARTIR_PASS_PASSES_H_
@@ -69,15 +69,6 @@ class TacticReportPass : public Pass {
 
  private:
   int tactic_index_;
-};
-
-/** Materializes the PartIR:Core loop form of the full schedule (Section 5)
- *  so the manager can capture it as the final loop-form stage. Aliases the
- *  last tactic's capture when the context is unchanged since. */
-class MaterializeLoopsPass : public Pass {
- public:
-  std::string name() const override;
-  Status Run(PipelineState& state) override;
 };
 
 /** Lowers the partitioning state to the device-local SPMD module

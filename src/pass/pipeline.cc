@@ -2,47 +2,55 @@
 
 #include <chrono>
 
+#include "src/core/materialize.h"
+#include "src/ir/verifier.h"
 #include "src/pass/passes.h"
 #include "src/sim/cost_model.h"
 
 namespace partir {
+namespace {
 
-void BuildPartitionPipeline(PassManager& manager,
-                            const std::vector<Tactic>& schedule,
-                            const PartitionOptions& options,
-                            const PipelineVariant& variant) {
-  for (int i = 0; i < static_cast<int>(schedule.size()); ++i) {
+/**
+ * Registers the passes of tactics [0, count) of `schedule`: tactic[i], its
+ * propagation (incremental mode, manual tactics) and report[i]
+ * (per_tactic_reports). The pipeline registers every tactic through it and
+ * ReplayLoopForm a prefix, so a replayed stage runs the same passes.
+ */
+void AddTacticPasses(PassManager& manager,
+                     const std::vector<Tactic>& schedule, int count,
+                     const PartitionOptions& options) {
+  PARTIR_CHECK(count >= 0 && count <= static_cast<int>(schedule.size()))
+      << "AddTacticPasses: " << count << " of " << schedule.size()
+      << " tactics";
+  for (int i = 0; i < count; ++i) {
     const Tactic& tactic = schedule[i];
-    const bool manual = std::holds_alternative<ManualPartition>(tactic);
-    // The stage a Print(Stage::AfterTactic(i)) renders is the state after
-    // the tactic's propagation in incremental mode, after the bare actions
-    // otherwise (automatic tactics propagate internally).
-    const bool propagate_after = manual && options.incremental;
-    if (manual) {
-      manager.AddPass(std::make_unique<ManualTacticPass>(
-                          i, std::get<ManualPartition>(tactic)),
-                      StageTag::Tactic(i, /*boundary=*/!propagate_after));
+    if (const auto* manual = std::get_if<ManualPartition>(&tactic)) {
+      manager.AddPass(std::make_unique<ManualTacticPass>(i, *manual), i);
+      if (options.incremental) {
+        manager.AddPass(std::make_unique<PropagatePass>(i), i);
+      }
     } else {
       manager.AddPass(std::make_unique<AutoTacticPass>(
                           i, std::get<AutomaticPartition>(tactic)),
-                      StageTag::Tactic(i, /*boundary=*/true));
-    }
-    if (propagate_after) {
-      manager.AddPass(std::make_unique<PropagatePass>(i),
-                      StageTag::Tactic(i, /*boundary=*/true));
+                      i);
     }
     if (options.per_tactic_reports) {
       manager.AddPass(std::make_unique<TacticReportPass>(i));
     }
   }
+}
+
+}  // namespace
+
+void BuildPartitionPipeline(PassManager& manager,
+                            const std::vector<Tactic>& schedule,
+                            const PartitionOptions& options,
+                            const PipelineVariant& variant) {
+  AddTacticPasses(manager, schedule, static_cast<int>(schedule.size()),
+                  options);
   if (!options.incremental) {
     // PartIR-st (Section 7.4): all tactics amalgamated, one propagation.
     manager.AddPass(std::make_unique<PropagatePass>());
-  }
-  if (options.capture_stages) {
-    manager.AddPass(std::make_unique<MaterializeLoopsPass>(),
-                    StageTag{-1, /*stage_boundary=*/true,
-                             /*final_loops=*/true});
   }
   manager.AddPass(std::make_unique<LowerToSpmdPass>());
   std::vector<std::unique_ptr<Pass>> optimize;
@@ -65,7 +73,6 @@ StatusOr<PartitionResult> RunPartitionPipeline(
   auto total_start = std::chrono::steady_clock::now();
   PipelineOptions pipeline_options;
   pipeline_options.verify_after_each_pass = options.verify_passes;
-  pipeline_options.capture_snapshots = options.capture_stages;
   PassManager manager(pipeline_options);
   BuildPartitionPipeline(manager, schedule, options, variant);
 
@@ -91,6 +98,31 @@ StatusOr<PartitionResult> RunPartitionPipeline(
                                  total_start)
                                  .count();
   return result;
+}
+
+StatusOr<std::unique_ptr<Module>> ReplayLoopForm(
+    PartitionContext& ctx, const std::vector<Tactic>& schedule, int count,
+    bool deferred_propagation, const PartitionOptions& options) {
+  PartitionOptions replay = options;
+  replay.per_tactic_reports = false;
+  PipelineOptions pipeline_options;
+  pipeline_options.verify_after_each_pass = false;  // the form is verified
+  PassManager manager(pipeline_options);
+  AddTacticPasses(manager, schedule, count, replay);
+  if (deferred_propagation) {
+    manager.AddPass(std::make_unique<PropagatePass>());
+  }
+  PartitionResult replay_result;  // the replayed reports are discarded
+  PipelineState state(ctx, schedule, replay, replay_result);
+  PARTIR_RETURN_IF_ERROR(manager.Run(state));
+  std::unique_ptr<Module> loops = MaterializeLoops(ctx);
+  std::vector<std::string> diags = Verify(*loops);
+  if (!diags.empty()) {
+    return InternalError("loop form after ", count,
+                         " tactic(s) failed verification: ",
+                         StrJoin(diags, "; "));
+  }
+  return loops;
 }
 
 }  // namespace partir

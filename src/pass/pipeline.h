@@ -9,6 +9,7 @@
 #ifndef PARTIR_PASS_PIPELINE_H_
 #define PARTIR_PASS_PIPELINE_H_
 
+#include <memory>
 #include <vector>
 
 #include "src/pass/pass_manager.h"
@@ -33,7 +34,6 @@ struct PipelineVariant {
  *                  propagate        (incremental mode, manual tactics)
  *                  report[i]        (per_tactic_reports)
  *   then:          propagate        (PartIR-st: single deferred propagation)
- *                  materialize-loops (capture_stages: final loop form)
  *                  lower-to-spmd
  *   to fixpoint:   fuse-gather-slice | form-reduce-scatter | dce
  *   finally:       plan-collectives
@@ -53,6 +53,19 @@ StatusOr<PartitionResult> RunPartitionPipeline(
     PartitionContext& ctx, const std::vector<Tactic>& schedule,
     const PartitionOptions& options,
     const PipelineVariant& variant = PipelineVariant());
+
+/**
+ * Recomputes the PartIR:Core loop form (Section 5) after tactics
+ * [0, count) of `schedule` on a fresh `ctx`: the same tactic and
+ * propagation passes the pipeline runs, with reports off, then PartIR-st's
+ * deferred propagation when `deferred_propagation` is set. Automatic
+ * tactics re-run their seeded search. The materialized module is verified;
+ * a violation is a typed kInternal Status. Executable::Print renders the
+ * loop-form stages through it.
+ */
+StatusOr<std::unique_ptr<Module>> ReplayLoopForm(
+    PartitionContext& ctx, const std::vector<Tactic>& schedule, int count,
+    bool deferred_propagation, const PartitionOptions& options);
 
 }  // namespace partir
 

@@ -1,25 +1,21 @@
 /**
  * @file
  * Pass-pipeline observability types: per-pass statistics (wall-clock,
- * op-deltas, rewrite counts, collective counts), printable IR snapshots per
- * stage, and the PipelineOptions that control inter-pass verification and
- * snapshot capture. These are the types PartitionResult embeds, so they live
- * below both the pass framework (src/pass/pass.h) and the schedule API
- * (src/schedule/schedule.h).
+ * op-deltas, rewrite counts, collective counts) and the PipelineOptions that
+ * control inter-pass verification. These are the types PartitionResult
+ * embeds, so they live below both the pass framework (src/pass/pass.h) and
+ * the schedule API (src/schedule/schedule.h).
  */
 #ifndef PARTIR_PASS_STATS_H_
 #define PARTIR_PASS_STATS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/spmd/optimize.h"
 
 namespace partir {
-
-class Module;
 
 /** Inter-pass verification defaults on in assertion-enabled builds: the
  *  debug CI job runs every pipeline with the verifier between passes, while
@@ -36,10 +32,6 @@ struct PipelineOptions {
   /** Run the IR verifier after every pass; a violation surfaces as a typed
    *  kInternal Status naming the offending pass, never an abort. */
   bool verify_after_each_pass = kVerifyPassesDefault;
-  /** Capture a printable IR snapshot at every stage-tagged pass (loop form
-   *  before lowering, device-local module after). Each capture clones a
-   *  module, so it is opt-in. */
-  bool capture_snapshots = false;
 };
 
 /** Statistics of one registered pass, accumulated over every time it ran
@@ -84,19 +76,6 @@ struct PipelineStats {
 
   /** Human-readable per-pass table (name, ms, runs, changes, op delta). */
   std::string ToString() const;
-};
-
-/** A printable IR snapshot captured after a stage-tagged pass ran. */
-struct StageSnapshot {
-  /** Module form the snapshot holds: the PartIR:Core loop form (before SPMD
-   *  lowering) or the device-local SPMD module (after). */
-  enum class Form { kLoops, kSpmd };
-
-  std::string pass;       // name of the pass the snapshot was taken after
-  int tactic_index = -1;  // schedule prefix this stage completes, or -1
-  bool final_loops = false;  // loop form after the full schedule
-  Form form = Form::kLoops;
-  std::shared_ptr<const Module> module;  // immutable, shared across clones
 };
 
 }  // namespace partir

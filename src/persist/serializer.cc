@@ -560,31 +560,7 @@ std::string SerializePartitionResult(const PartitionResult& result) {
   writer.WriteI64(pipeline.verify_runs);
   writer.WriteF64(pipeline.total_seconds);
 
-  // Stage snapshots, preserving aliasing: unique modules serialized once in
-  // first-appearance order, snapshots referencing them by index.
-  std::map<const Module*, uint64_t> snapshot_modules;
-  std::vector<const Module*> unique_modules;
-  for (const StageSnapshot& snapshot : result.snapshots) {
-    if (snapshot_modules.emplace(snapshot.module.get(),
-                                 unique_modules.size()).second) {
-      unique_modules.push_back(snapshot.module.get());
-    }
-  }
-  writer.WriteU64(unique_modules.size());
-  for (const Module* module : unique_modules) {
-    ModuleSerializer(writer).WriteModule(*module);
-  }
-  writer.WriteU64(result.snapshots.size());
-  for (const StageSnapshot& snapshot : result.snapshots) {
-    writer.WriteStr(snapshot.pass);
-    writer.WriteI64(snapshot.tactic_index);
-    writer.WriteU8(snapshot.final_loops ? 1 : 0);
-    writer.WriteU8(snapshot.form == StageSnapshot::Form::kSpmd ? 1 : 0);
-    writer.WriteU64(snapshot_modules.at(snapshot.module.get()));
-  }
-
-  // Static-analysis results (format v2), appended after everything v1 held
-  // so the field order above never shifted.
+  // Static-analysis results.
   writer.WriteI64(pipeline.analysis_checkers);
   writer.WriteI64(pipeline.analysis_errors);
   writer.WriteI64(pipeline.analysis_warnings);
@@ -681,33 +657,7 @@ StatusOr<PartitionResult> DeserializePartitionResult(
   result.pipeline.verify_runs = reader.ReadI64();
   result.pipeline.total_seconds = reader.ReadF64();
 
-  uint64_t num_modules = ReadCount(reader, "snapshot module");
-  std::vector<std::shared_ptr<const Module>> modules;
-  modules.reserve(num_modules);
-  for (uint64_t i = 0; i < num_modules && reader.ok(); ++i) {
-    std::unique_ptr<Module> module = ModuleDeserializer(reader).ReadModule();
-    if (reader.ok()) modules.push_back(std::move(module));
-  }
-  uint64_t num_snapshots = ReadCount(reader, "stage snapshot");
-  for (uint64_t i = 0; i < num_snapshots && reader.ok(); ++i) {
-    StageSnapshot snapshot;
-    snapshot.pass = reader.ReadStr();
-    snapshot.tactic_index = static_cast<int>(reader.ReadI64());
-    snapshot.final_loops = reader.ReadU8() != 0;
-    snapshot.form = reader.ReadU8() != 0 ? StageSnapshot::Form::kSpmd
-                                         : StageSnapshot::Form::kLoops;
-    uint64_t index = reader.ReadU64();
-    if (reader.ok() && index >= modules.size()) {
-      reader.Corrupt(StrCat("snapshot module index ", index, " out of range"));
-      break;
-    }
-    if (reader.ok()) {
-      snapshot.module = modules[index];
-      result.snapshots.push_back(std::move(snapshot));
-    }
-  }
-
-  // Static-analysis results (format v2).
+  // Static-analysis results.
   result.pipeline.analysis_checkers = reader.ReadI64();
   result.pipeline.analysis_errors = reader.ReadI64();
   result.pipeline.analysis_warnings = reader.ReadI64();

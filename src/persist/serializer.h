@@ -10,9 +10,8 @@
  * regions after each op), exactly the scheme the structural fingerprint
  * walks, so operand wiring round-trips as dense indices. Everything the
  * printer or the runtime can observe is preserved bit-for-bit: value
- * names, types, attributes, mesh axes, shardings, per-tactic reports,
- * pipeline statistics and stage snapshots (including the aliasing
- * structure between snapshots that share one module).
+ * names, types, attributes, mesh axes, shardings, per-tactic reports and
+ * pipeline statistics.
  *
  * Deserialization never trusts the input: every read is bounds-checked and
  * every enum/range is validated, so a truncated or corrupted payload is a
@@ -98,9 +97,10 @@ StatusOr<std::unique_ptr<Module>> DeserializeModule(const std::string& bytes);
  * Serializes the full PartitionResult: the device-local SPMD module with
  * mesh and shardings, collective counts, simulator estimate, per-tactic
  * reports, pipeline statistics, recorded conflicts (axis and reason; the
- * op pointer is process-local and restored as null), stage snapshots,
- * whether a compiled device program was present, and the static-analysis
- * report with its pipeline counts (format v2).
+ * op pointer is process-local and restored as null), whether a compiled
+ * device program was present, and the static-analysis report with its
+ * pipeline counts. Loop-form stages are not stored: Executable::Print
+ * recomputes them from the schedule.
  */
 std::string SerializePartitionResult(const PartitionResult& result);
 

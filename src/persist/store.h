@@ -35,8 +35,9 @@ namespace persist {
 /** Bumped whenever the serialized format changes shape; entries written by
  *  other versions decode as kNotFound (stale), not as data loss.
  *  v2: PartitionResult carries the static-analysis report and the pipeline
- *  analysis counts (appended after the stage snapshots). */
-inline constexpr uint32_t kFormatVersion = 2;
+ *  analysis counts.
+ *  v3: PartitionResult no longer carries stage snapshots. */
+inline constexpr uint32_t kFormatVersion = 3;
 
 /** What an entry's payload contains. Stored in the header so a file saved
  *  through one facade cannot be misinterpreted by another. */

@@ -82,12 +82,6 @@ struct PartitionOptions {
   bool incremental = true;
   /** Lower + simulate after every tactic (per-tactic metadata). */
   bool per_tactic_reports = true;
-  /** Capture a printable IR snapshot at every pipeline stage (the loop form
-   *  after each tactic, the final loop form, the device-local module) so
-   *  Executable::Print can render any tactic prefix (the paper's per-tactic
-   *  verification workflow). Each capture clones a module and is retained
-   *  for the executable's lifetime, so it is opt-in. */
-  bool capture_stages = false;
   /** Run the IR verifier between pipeline passes (defaults on in
    *  assertion-enabled builds). A violation surfaces as a typed kInternal
    *  Status naming the pass. Not part of the cache key (it cannot change
@@ -144,10 +138,6 @@ struct PartitionResult {
   /** Per-pass timings, op deltas and collective counts of the pipeline run
    *  that produced this result (copied verbatim on cache hits). */
   PipelineStats pipeline;
-  /** Stage snapshots captured by the pass manager (capture_stages):
-   *  the loop form after every tactic prefix and after the full schedule.
-   *  Executable::Print(Stage) renders these. */
-  std::vector<StageSnapshot> snapshots;
   /** Findings of the static-analysis pass (PartitionOptions::analyze);
    *  empty when analysis was off or everything was clean. */
   analysis::AnalysisReport analysis;

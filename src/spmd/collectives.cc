@@ -233,12 +233,17 @@ StatusOr<std::vector<std::string>> CollectiveGroupAxes(const Operation& op) {
   }
 }
 
+namespace {
+
+/** Elementwise combine of the reduction kind (sum or max). */
 Tensor CombineReduce(bool is_max, const Tensor& a, const Tensor& b) {
   return Tensor::Combine(a, b, [is_max](float x, float y) {
     return is_max ? std::max(x, y) : x + y;
   });
 }
 
+/** Splits a group-reduced tensor into reduce_scatter's per-position
+ *  shards. */
 std::vector<Tensor> ScatterReduced(const CollectiveOp& op,
                                    const Tensor& reduced) {
   std::vector<Tensor> out;
@@ -249,9 +254,7 @@ std::vector<Tensor> ScatterReduced(const CollectiveOp& op,
   return out;
 }
 
-namespace {
-
-/** Reduces group inputs in position order (the deterministic order). */
+/** Reduces group inputs in position order. */
 Tensor ReduceInPositionOrder(bool is_max, const std::vector<Tensor>& inputs) {
   Tensor acc = inputs[0];
   for (size_t p = 1; p < inputs.size(); ++p) {

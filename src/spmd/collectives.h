@@ -118,14 +118,6 @@ StatusOr<std::vector<std::string>> CollectiveGroupAxes(const Operation& op);
 std::shared_ptr<const CollectivePlan> BuildCollectivePlan(
     const Mesh& mesh, const Module& module);
 
-/** Elementwise combine of the reduction kind (sum or max). */
-Tensor CombineReduce(bool is_max, const Tensor& a, const Tensor& b);
-
-/** Splits a group-reduced tensor into reduce_scatter's per-position
- *  shards (shared by the deterministic and arrival-order paths). */
-std::vector<Tensor> ScatterReduced(const CollectiveOp& op,
-                                   const Tensor& reduced);
-
 /**
  * Evaluates one group of a collective: `inputs[p]` is the contribution of
  * the device at group position p, and the result at index p is that

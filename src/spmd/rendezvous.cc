@@ -5,34 +5,18 @@
 namespace partir {
 
 Tensor RendezvousExchange(const CollectiveOp& col, GroupSite& site,
-                          int64_t position, Tensor input, bool deterministic,
+                          int64_t position, Tensor input,
                           Semaphore* throttle) {
   const int64_t n = col.groups->group_size;
-  const bool arrival_fold =
-      !deterministic && (col.kind == OpKind::kAllReduce ||
-                         col.kind == OpKind::kReduceScatter);
   std::unique_lock<std::mutex> lock(site.mu);
-  if (arrival_fold) {
-    site.accumulator = site.arrived == 0
-                           ? std::move(input)
-                           : CombineReduce(col.is_max, site.accumulator,
-                                           input);
-  } else {
-    if (site.inputs.empty()) site.inputs.resize(n);
-    site.inputs[position] = std::move(input);
-  }
+  if (site.inputs.empty()) site.inputs.resize(n);
+  site.inputs[position] = std::move(input);
   if (++site.arrived == n) {
     // Last arrival: evaluate the whole group and wake the waiters. The
     // result is position-ordered, so *which* thread computes it does not
     // affect the outputs.
-    if (arrival_fold) {
-      site.outputs = col.kind == OpKind::kAllReduce
-                         ? std::vector<Tensor>(n, site.accumulator)
-                         : ScatterReduced(col, site.accumulator);
-    } else {
-      site.outputs = EvalGroupCollective(col, site.inputs);
-      site.inputs.clear();
-    }
+    site.outputs = EvalGroupCollective(col, site.inputs);
+    site.inputs.clear();
     site.done = true;
     site.cv.notify_all();
     return std::move(site.outputs[position]);

@@ -49,15 +49,14 @@ class Semaphore {
 /**
  * Rendezvous state of one replica group of one collective op execution.
  * Every member deposits its contribution; the last arrival evaluates the
- * group (position-ordered, unless arrival-order folding was requested) and
- * wakes the others. One-shot: a runtime builds fresh sites per Run.
+ * group in position order and wakes the others. One-shot: a runtime builds
+ * fresh sites per Run.
  */
 struct GroupSite {
   std::mutex mu;
   std::condition_variable cv;
-  std::vector<Tensor> inputs;   // by group position (deterministic path)
+  std::vector<Tensor> inputs;   // by group position
   std::vector<Tensor> outputs;  // by group position, valid once done
-  Tensor accumulator;           // arrival-order reduction (non-deterministic)
   int arrived = 0;
   bool done = false;
 };
@@ -65,14 +64,12 @@ struct GroupSite {
 /**
  * Deposits `input` as group position `position` of `site`, blocks until the
  * whole replica group has arrived (the last arrival evaluates the group),
- * and returns this position's output. With `deterministic` unset,
- * all_reduce / reduce_scatter fold in thread-arrival order instead of
- * group-position order. A blocked thread releases `throttle` (when
- * non-null) while it waits, so any positive concurrency cap stays
+ * and returns this position's output. A blocked thread releases `throttle`
+ * (when non-null) while it waits, so any positive concurrency cap stays
  * deadlock-free.
  */
 Tensor RendezvousExchange(const CollectiveOp& col, GroupSite& site,
-                          int64_t position, Tensor input, bool deterministic,
+                          int64_t position, Tensor input,
                           Semaphore* throttle);
 
 }  // namespace partir

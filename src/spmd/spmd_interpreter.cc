@@ -200,7 +200,7 @@ StatusOr<std::vector<Tensor>> RunSpmd(const SpmdModule& spmd,
     return exec::ExecuteCompiled(spmd, *program, global_inputs, options);
   }
   // kInterpret: the sequential reference walker, on the calling thread
-  // whatever num_threads, deterministic and pool say.
+  // whatever num_threads and pool say.
   std::atomic<int64_t> run_allocs{0};
   AllocationScope alloc_scope(options.stats != nullptr ? &run_allocs
                                                        : nullptr);

@@ -55,7 +55,7 @@ enum class ExecBackend {
   /**
    * The sequential reference walker: walks the IR op by op on each device
    * in turn, a fresh tensor per op per device, on the calling thread. It
-   * ignores num_threads, deterministic, pool and use_pool; it is the
+   * ignores num_threads, pool and use_pool; it is the
    * reference the compiled executor is checked against, not a runtime.
    */
   kInterpret,
@@ -79,13 +79,6 @@ struct RunOptions {
    * count are clamped. kInterpret ignores it.
    */
   int num_threads = 0;
-  /**
-   * When true (default), collective reductions fold in group-position
-   * order: outputs are bit-identical to the sequential walker and across
-   * repeated runs. When false, threaded all_reduce / reduce_scatter fold in
-   * thread arrival order — correct within float tolerance, not bit-stable.
-   */
-  bool deterministic = true;
   /**
    * Execution engine. kCompiled (default) executes the precompiled
    * DeviceProgram, compiling one ad hoc when the module carries none;

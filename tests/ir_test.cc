@@ -205,6 +205,45 @@ TEST(VerifierTest, CatchesUseBeforeDef) {
   EXPECT_FALSE(Verify(module).empty());
 }
 
+TEST(VerifierTest, LoopRegionValuesAreScopedToTheLoop) {
+  // A value defined before a loop is visible inside its region; a value
+  // (or the range argument) defined inside the region is not visible after
+  // the loop, nor inside a later loop.
+  auto build = [](Module& module, bool leak_slice, bool leak_range) {
+    Func* func = module.AddFunc("main");
+    Value* x = func->body().AddArg(TensorType({256, 8}), "x");
+    OpBuilder builder(&func->body());
+    Value* before = builder.Neg(x);
+    Operation* loop = builder.Loop("B", 4, "tile", 0, TensorType({256, 8}));
+    Block& body = loop->region(0).block();
+    OpBuilder body_builder(&body);
+    Value* slice = body_builder.PSlice(before, body.arg(0), 0);
+    body_builder.Yield(&body, {slice});
+    Operation* later = builder.Loop("B", 4, "tile", 0, TensorType({256, 8}));
+    Block& later_body = later->region(0).block();
+    OpBuilder later_builder(&later_body);
+    Value* range = leak_range ? body.arg(0) : later_body.arg(0);
+    later_builder.Yield(&later_body,
+                        {later_builder.PSlice(loop->result(), range, 0)});
+    builder.Return({leak_slice ? builder.Neg(slice) : later->result()});
+  };
+  Module valid;
+  build(valid, /*leak_slice=*/false, /*leak_range=*/false);
+  EXPECT_TRUE(Verify(valid).empty()) << Print(valid);
+
+  Module leaked_slice;
+  build(leaked_slice, /*leak_slice=*/true, /*leak_range=*/false);
+  std::vector<std::string> diags = Verify(leaked_slice);
+  ASSERT_EQ(diags.size(), 1u) << Print(leaked_slice);
+  EXPECT_NE(diags[0].find("not dominating"), std::string::npos) << diags[0];
+
+  Module leaked_range;
+  build(leaked_range, /*leak_slice=*/false, /*leak_range=*/true);
+  diags = Verify(leaked_range);
+  ASSERT_EQ(diags.size(), 1u) << Print(leaked_range);
+  EXPECT_NE(diags[0].find("not dominating"), std::string::npos) << diags[0];
+}
+
 TEST(PrinterTest, PaperLikeSyntax) {
   Module module;
   Func* func = module.AddFunc("main");

@@ -133,16 +133,18 @@ TEST(PartitionCacheTest, RespecializeSharesTheCache) {
   EXPECT_EQ(stats.entries, 2);
 }
 
-TEST(PartitionCacheTest, CapturedStagesSurviveTheCache) {
+TEST(PartitionCacheTest, StagesPrintOnACacheHit) {
   Program program = MakeChain();
   Mesh mesh({{"B", 4}, {"M", 2}});
-  PartitionOptions options;
-  options.capture_stages = true;
-  (void)program.Partition(BpSchedule(), mesh, options).value();
-  Executable hit = program.Partition(BpSchedule(), mesh, options).value();
+  Executable miss = program.Partition(BpSchedule(), mesh).value();
+  Executable hit = program.Partition(BpSchedule(), mesh).value();
   EXPECT_EQ(program.cache_stats().hits, 1);
-  EXPECT_TRUE(hit.Print(Stage::Loops()).ok());
-  EXPECT_TRUE(hit.Print(Stage::AfterTactic(0)).ok());
+  StatusOr<std::string> loops = hit.Print(Stage::Loops());
+  ASSERT_TRUE(loops.ok()) << loops.status().ToString();
+  EXPECT_EQ(*loops, miss.Print(Stage::Loops()).value());
+  StatusOr<std::string> after_bp = hit.Print(Stage::AfterTactic(0));
+  ASSERT_TRUE(after_bp.ok()) << after_bp.status().ToString();
+  EXPECT_EQ(*after_bp, miss.Print(Stage::AfterTactic(0)).value());
 }
 
 TEST(PartitionCacheTest, MutatingOneExecutableDoesNotPoisonTheCache) {

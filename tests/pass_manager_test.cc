@@ -1,6 +1,6 @@
 // Tests for the pass-manager compilation pipeline: pass ordering, per-pass
 // statistics accumulation (including fixpoint groups), verifier failures
-// surfacing as typed Status (never an abort), snapshot capture per stage,
+// surfacing as typed Status (never an abort), stage printing,
 // the collective-plan invalidation helper, the new reduce-scatter-formation
 // cases, and bit-identical Executable::Run outputs versus the pre-refactor
 // pipeline (the same stage functions composed by hand) on all five example
@@ -265,136 +265,89 @@ TEST(PipelineStatsTest, CacheHitCarriesTheMissRunStats) {
             miss.pipeline_stats().passes.size());
 }
 
-// ---- Snapshot capture per stage ----
+// ---- Stage printing ----
 
-TEST(SnapshotTest, CapturesEveryTacticPrefixAndFinalForms) {
-  Program program("snap");
+/** x @ w1 @ w2, the chain the stage tests partition. */
+Program BuildStageChain(const std::string& name) {
+  Program program(name);
   Value* x = program.AddInput(TensorType({16, 8}), "x");
   Value* w1 = program.AddInput(TensorType({8, 12}), "w1");
   Value* w2 = program.AddInput(TensorType({12, 8}), "w2");
   OpBuilder& builder = program.builder();
   program.Return({builder.MatMul(builder.MatMul(x, w1), w2)});
-  Mesh mesh({{"B", 4}, {"M", 2}});
-  std::vector<Tactic> schedule = {
-      ManualPartition{"BP", {{"x", 0}}, "B"},
-      ManualPartition{"MP", {{"w1", 1}}, "M"},
-  };
-  PartitionOptions options;
-  options.capture_stages = true;
-  Executable exe = program.Partition(schedule, mesh, options).value();
-
-  // One loop-form snapshot per tactic prefix plus the final loop form.
-  ASSERT_EQ(exe.snapshots().size(), 3u);
-  EXPECT_EQ(exe.snapshots()[0].tactic_index, 0);
-  EXPECT_EQ(exe.snapshots()[1].tactic_index, 1);
-  EXPECT_TRUE(exe.snapshots()[2].final_loops);
-  // Incremental mode: the final loop form aliases the last tactic's capture
-  // instead of cloning the module again.
-  EXPECT_EQ(exe.snapshots()[2].module.get(), exe.snapshots()[1].module.get());
-
-  EXPECT_TRUE(exe.Print(Stage::Source()).ok());
-  StatusOr<std::string> after_bp = exe.Print(Stage::AfterTactic(0));
-  ASSERT_TRUE(after_bp.ok());
-  EXPECT_NE(after_bp.value().find("loop"), std::string::npos);
-  EXPECT_TRUE(exe.Print(Stage::AfterTactic(1)).ok());
-  EXPECT_TRUE(exe.Print(Stage::Loops()).ok());
-  EXPECT_TRUE(exe.Print(Stage::Spmd()).ok());
-  EXPECT_EQ(exe.Print(Stage::AfterTactic(2)).status().code(),
-            StatusCode::kInvalidArgument);
+  return program;
 }
 
-TEST(SnapshotTest, CacheHitClonesSnapshotsAndServesFreshStages) {
-  // Regression: a cache hit used to clone the spmd module but share the
-  // stage-snapshot modules with the cached entry (and so with every
-  // sibling executable). A hit's Print(Stage) must serve the same content
-  // from fully self-contained snapshots — including after respecializing
-  // away and back — with the intra-result aliasing structure preserved.
-  Program program("snap_hit");
-  Value* x = program.AddInput(TensorType({16, 8}), "x");
-  Value* w1 = program.AddInput(TensorType({8, 12}), "w1");
-  Value* w2 = program.AddInput(TensorType({12, 8}), "w2");
-  OpBuilder& builder = program.builder();
-  program.Return({builder.MatMul(builder.MatMul(x, w1), w2)});
+std::vector<Tactic> BpMp() {
+  return {ManualPartition{"BP", {{"x", 0}}, "B"},
+          ManualPartition{"MP", {{"w1", 1}}, "M"}};
+}
+
+TEST(StagePrintTest, RespecializedExecutablesPrintTheirOwnSchedule) {
+  // Respecializing away prints the new schedule's stages; respecializing
+  // back (a cache hit) prints the original partition's stages again.
+  Program program = BuildStageChain("stage_respecialize");
   Mesh mesh({{"B", 4}, {"M", 2}});
-  std::vector<Tactic> bp_mp = {ManualPartition{"BP", {{"x", 0}}, "B"},
-                               ManualPartition{"MP", {{"w1", 1}}, "M"}};
   std::vector<Tactic> wp = {ManualPartition{"WP", {{"w2", 1}}, "M"}};
-  PartitionOptions options;
-  options.capture_stages = true;
 
-  Executable miss = program.Partition(bp_mp, mesh, options).value();
-  std::string after_bp = miss.Print(Stage::AfterTactic(0)).value();
-  std::string loops = miss.Print(Stage::Loops()).value();
+  Executable first = program.Partition(BpMp(), mesh).value();
+  std::string after_bp = first.Print(Stage::AfterTactic(0)).value();
+  std::string loops = first.Print(Stage::Loops()).value();
 
-  Executable hit = program.Partition(bp_mp, mesh, options).value();
-  EXPECT_EQ(program.cache_stats().hits, 1);
-  ASSERT_EQ(hit.snapshots().size(), miss.snapshots().size());
-  // Same content...
-  EXPECT_EQ(hit.Print(Stage::AfterTactic(0)).value(), after_bp);
-  EXPECT_EQ(hit.Print(Stage::Loops()).value(), loops);
-  // ...from cloned modules, not the cached entry's (no sharing between
-  // executables, just like the spmd module itself).
-  for (size_t i = 0; i < hit.snapshots().size(); ++i) {
-    EXPECT_NE(hit.snapshots()[i].module.get(),
-              miss.snapshots()[i].module.get());
-  }
-  // The final loop form still aliases the last tactic's capture inside
-  // each executable (the clone maps aliases to one shared clone).
-  ASSERT_EQ(hit.snapshots().size(), 3u);
-  EXPECT_EQ(hit.snapshots()[2].module.get(), hit.snapshots()[1].module.get());
-
-  // Respecialize away and back: the second hit's stages are not stale
-  // either — identical to the original miss's renderings.
-  Executable other = hit.Respecialize(wp).value();
+  Executable other = first.Respecialize(wp).value();
   EXPECT_NE(other.Print(Stage::AfterTactic(0)).value(), after_bp);
-  Executable back = other.Respecialize(bp_mp).value();
+  EXPECT_EQ(other.Print(Stage::AfterTactic(1)).status().code(),
+            StatusCode::kInvalidArgument);
+  Executable back = other.Respecialize(BpMp()).value();
+  EXPECT_EQ(program.cache_stats().hits, 1);
   EXPECT_EQ(back.Print(Stage::AfterTactic(0)).value(), after_bp);
   EXPECT_EQ(back.Print(Stage::Loops()).value(), loops);
 }
 
-TEST(SnapshotTest, StModeCapturesAndVerifiesFinalLoopForm) {
-  // PartIR-st (incremental=false): the final loop form is materialized by
-  // MaterializeLoopsPass after the single deferred propagation, and the
-  // manager still runs it through the IR verifier exactly once.
+TEST(StagePrintTest, StModeFinalLoopFormAddsTheDeferredPropagation) {
+  // PartIR-st (incremental=false): a tactic's stage holds its bare actions,
+  // and only the final loop form includes the single deferred propagation.
   Program program("st");
   Value* x = program.AddInput(TensorType({16, 8}), "x");
   Value* w = program.AddInput(TensorType({8, 8}), "w");
   program.Return({program.builder().MatMul(x, w)});
-  PartitionOptions options;
-  options.incremental = false;
-  options.capture_stages = true;
-  options.verify_passes = true;
-  Executable exe =
-      program
-          .Partition({ManualPartition{"BP", {{"x", 0}}, "B"}},
-                     Mesh({{"B", 4}}), options)
-          .value();
-  EXPECT_TRUE(exe.Print(Stage::Loops()).ok());
-  EXPECT_TRUE(exe.Print(Stage::AfterTactic(0)).ok());
+  std::vector<Tactic> bp = {ManualPartition{"BP", {{"x", 0}}, "B"}};
+  Mesh mesh({{"B", 4}});
+  PartitionOptions st;
+  st.incremental = false;
+  st.verify_passes = true;
+  Executable exe = program.Partition(bp, mesh, st).value();
   EXPECT_GT(exe.pipeline_stats().verify_runs, 0);
+
+  StatusOr<std::string> after_bp = exe.Print(Stage::AfterTactic(0));
+  ASSERT_TRUE(after_bp.ok()) << after_bp.status().ToString();
+  StatusOr<std::string> loops = exe.Print(Stage::Loops());
+  ASSERT_TRUE(loops.ok()) << loops.status().ToString();
+  EXPECT_NE(*loops, *after_bp);
+  // One tactic propagated once: the incremental partition's final form.
+  Executable incremental = program.Partition(bp, mesh).value();
+  EXPECT_EQ(*loops, incremental.Print(Stage::Loops()).value());
+  EXPECT_EQ(*loops, incremental.Print(Stage::AfterTactic(0)).value());
 }
 
-TEST(SnapshotTest, UncapturedStagesErrorWithGuidance) {
-  Program program("bare");
-  Value* x = program.AddInput(TensorType({16, 8}), "x");
-  Value* w = program.AddInput(TensorType({8, 8}), "w");
-  program.Return({program.builder().MatMul(x, w)});
-  Executable exe =
-      program
-          .Partition({ManualPartition{"BP", {{"x", 0}}, "B"}},
-                     Mesh({{"B", 4}}))
-          .value();
-  EXPECT_TRUE(exe.snapshots().empty());
-  StatusOr<std::string> print = exe.Print(Stage::AfterTactic(0));
-  ASSERT_FALSE(print.ok());
-  EXPECT_EQ(print.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(print.status().message().find("capture_stages"),
-            std::string::npos);
-  EXPECT_EQ(exe.Print(Stage::Loops()).status().code(),
-            StatusCode::kFailedPrecondition);
-  // The endpoints need no capture.
-  EXPECT_TRUE(exe.Print(Stage::Source()).ok());
-  EXPECT_TRUE(exe.Print(Stage::Spmd()).ok());
+TEST(StagePrintTest, AutomaticTacticStageReplaysTheSeededSearch) {
+  // An automatic tactic's stage re-runs its seeded search, so it prints
+  // the same loop form on every call and on a cache hit.
+  Program program = BuildStageChain("auto_stage");
+  AutomaticPartition automatic;
+  automatic.name = "auto";
+  automatic.axes = {"B"};
+  automatic.options.simulations = 16;
+  Mesh mesh({{"B", 4}});
+  Executable exe = program.Partition({automatic}, mesh).value();
+  ASSERT_GT(exe.tactics()[0].actions_applied, 0);
+  StatusOr<std::string> after_auto = exe.Print(Stage::AfterTactic(0));
+  ASSERT_TRUE(after_auto.ok()) << after_auto.status().ToString();
+  EXPECT_EQ(exe.Print(Stage::Loops()).value(), *after_auto);
+  Executable hit = program.Partition({automatic}, mesh).value();
+  EXPECT_EQ(program.cache_stats().hits, 1);
+  EXPECT_EQ(hit.Print(Stage::AfterTactic(0)).value(), *after_auto);
+  EXPECT_NE(after_auto->find("axis = \"B\""), std::string::npos);
 }
 
 // ---- Collective-plan invalidation ----

@@ -1,10 +1,9 @@
 // Round-trip property tests for the persistent-cache serializer: every
 // example and serving workload's PartitionResult must survive
 // serialize -> deserialize with Run outputs bit-identical to the reference
-// walker's, compiled at every thread count, and identical stage-snapshot
-// prints; traced modules
-// must round-trip through Program::Save / Program::Load with equal
-// structural fingerprints. This suite runs under the ThreadSanitizer and
+// walker's, compiled at every thread count; traced modules must round-trip
+// through Program::Save / Program::Load with equal structural
+// fingerprints. This suite runs under the ThreadSanitizer and
 // debug-verify CI jobs.
 #include <gtest/gtest.h>
 
@@ -63,10 +62,9 @@ void ExpectBitIdentical(const std::vector<Tensor>& a,
 /**
  * The round-trip property: serialize + deserialize the result, then check
  * the copy is observably identical — printed SPMD module, shardings,
- * metadata, every stage snapshot (including the aliasing structure), and
- * Run outputs of the original and the copy bit-identical to the original's
- * reference walk, on the walker and the compiled executor at every thread
- * count.
+ * metadata, and Run outputs of the original and the copy bit-identical to
+ * the original's reference walk, on the walker and the compiled executor
+ * at every thread count.
  */
 void ExpectRoundTrips(const PartitionResult& original,
                       const std::vector<Tensor>& inputs,
@@ -121,26 +119,6 @@ void ExpectRoundTrips(const PartitionResult& original,
   ASSERT_EQ(original.pipeline.passes.size(), restored->pipeline.passes.size());
   EXPECT_EQ(original.pipeline.ToString(), restored->pipeline.ToString());
 
-  // Stage snapshots: identical prints, and aliasing preserved — snapshots
-  // sharing one module before the round trip share one after.
-  ASSERT_EQ(original.snapshots.size(), restored->snapshots.size()) << label;
-  for (size_t i = 0; i < original.snapshots.size(); ++i) {
-    EXPECT_EQ(original.snapshots[i].pass, restored->snapshots[i].pass);
-    EXPECT_EQ(original.snapshots[i].tactic_index,
-              restored->snapshots[i].tactic_index);
-    EXPECT_EQ(original.snapshots[i].final_loops,
-              restored->snapshots[i].final_loops);
-    EXPECT_EQ(original.snapshots[i].form, restored->snapshots[i].form);
-    EXPECT_EQ(Print(*original.snapshots[i].module),
-              Print(*restored->snapshots[i].module))
-        << label << " snapshot " << i;
-    for (size_t j = 0; j < i; ++j) {
-      EXPECT_EQ(original.snapshots[i].module == original.snapshots[j].module,
-                restored->snapshots[i].module == restored->snapshots[j].module)
-          << label << " aliasing between snapshots " << j << " and " << i;
-    }
-  }
-
   // Execution fidelity: the walker over the original module is the
   // reference; the walker over the copy and the compiled executor over
   // both, sequential, capped and fully threaded, must match it bitwise.
@@ -167,14 +145,12 @@ void ExpectRoundTrips(const PartitionResult& original,
   }
 }
 
-/** Runs the full pipeline with stage capture on and checks the property. */
+/** Runs the full pipeline and checks the property. */
 void CheckWorkload(Program& program, const std::vector<Tactic>& schedule,
                    const Mesh& mesh, const std::vector<Tensor>& inputs,
                    const std::string& label) {
-  PartitionOptions options;
-  options.capture_stages = true;
   PartitionContext ctx(program.func(), mesh);
-  StatusOr<PartitionResult> result = PartirJitOrError(ctx, schedule, options);
+  StatusOr<PartitionResult> result = PartirJitOrError(ctx, schedule);
   ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
   ExpectRoundTrips(*result, inputs, label);
 }
@@ -267,15 +243,13 @@ TEST(PersistRoundTripTest, ServingWorkloadsRoundTrip) {
     std::vector<Tensor> inputs =
         program.RandomInputs(31, workload.index_modulus);
     PartitionContext ctx(program.func(), workload.mesh);
-    PartitionOptions options;
-    options.capture_stages = true;
     StatusOr<PartitionResult> result =
-        PartirJitOrError(ctx, workload.schedule, options);
+        PartirJitOrError(ctx, workload.schedule);
     if (!result.ok()) {
       // Batch sizes the schedule cannot shard serve unpartitioned (the
       // batcher's fallback); the serializer must cover that shape too.
       PartitionContext fallback(program.func(), workload.mesh);
-      result = PartirJitOrError(fallback, {}, options);
+      result = PartirJitOrError(fallback, {});
     }
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectRoundTrips(*result, inputs, workload.name);

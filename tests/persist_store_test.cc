@@ -106,12 +106,19 @@ TEST(PersistStoreTest, FlippedChecksumByteIsDataLoss) {
 }
 
 TEST(PersistStoreTest, WrongVersionIsAMissNotDamage) {
-  std::string bytes = EncodeEntry(PayloadKind::kModule, "key", "payload");
-  bytes[8] ^= 0xFF;  // the format version follows the 8-byte magic
-  StatusOr<std::string> decoded =
-      DecodeEntry(bytes, PayloadKind::kModule, "key");
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kNotFound);
+  // Format 2 partition results still carried stage snapshots; like any
+  // other version, a format 2 entry must read as a miss.
+  ASSERT_NE(persist::kFormatVersion, 2u);
+  for (char low_byte : {static_cast<char>(persist::kFormatVersion ^ 0xFF),
+                        static_cast<char>(2)}) {
+    std::string bytes = EncodeEntry(PayloadKind::kModule, "key", "payload");
+    // The little-endian format version follows the 8-byte magic.
+    bytes[8] = low_byte;
+    StatusOr<std::string> decoded =
+        DecodeEntry(bytes, PayloadKind::kModule, "key");
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kNotFound);
+  }
 }
 
 TEST(PersistStoreTest, WrongKindAndWrongKeyAreMisses) {
@@ -237,12 +244,14 @@ TEST(PersistDiskTierTest, RestartedProcessHitsDisk) {
 
   std::vector<Tensor> cold_outputs;
   std::vector<Tensor> inputs;
+  std::string cold_after_bp;
   {
     // "Process A": cold compile, persisted on the way out.
     Program program = MakeChain();
     inputs = program.RandomInputs(3);
     Executable exe = program.Partition(BpSchedule(), mesh, options).value();
     cold_outputs = exe.Run(inputs).value();
+    cold_after_bp = exe.Print(Stage::AfterTactic(0)).value();
     PartitionCacheStats stats = program.cache_stats();
     EXPECT_EQ(stats.misses, 1);
     EXPECT_EQ(stats.disk_hits, 0);
@@ -266,6 +275,8 @@ TEST(PersistDiskTierTest, RestartedProcessHitsDisk) {
     for (size_t i = 0; i < cold_outputs.size(); ++i) {
       EXPECT_EQ(cold_outputs[i].data(), warm_outputs[i].data());
     }
+    // Entries carry no loop forms; the disk hit recomputes its stages.
+    EXPECT_EQ(exe.Print(Stage::AfterTactic(0)).value(), cold_after_bp);
     // The disk hit was promoted into memory: a repeat is an in-memory hit.
     program.Partition(BpSchedule(), mesh, options).value();
     stats = program.cache_stats();
@@ -441,10 +452,8 @@ TEST(PersistFacadeTest, CorruptPartitionResultPayloadIsTyped) {
   // fuzzing the structural deserializer directly with truncations.
   Program program = MakeChain();
   PartitionContext ctx(program.func(), Mesh({{"B", 4}, {"M", 2}}));
-  PartitionOptions options;
-  options.capture_stages = true;
   std::string payload = persist::SerializePartitionResult(
-      PartirJitOrError(ctx, BpSchedule(), options).value());
+      PartirJitOrError(ctx, BpSchedule()).value());
   for (size_t fraction = 1; fraction < 8; ++fraction) {
     std::string truncated =
         payload.substr(0, payload.size() * fraction / 8);

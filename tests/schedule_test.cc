@@ -171,11 +171,10 @@ TEST(FacadeTest, ExecutableOutlivesItsProgram) {
 }
 
 TEST(FacadeTest, PrintExposesEveryStage) {
+  // Default options: each loop-form stage is recomputed when printed.
   Program program = BuildChainProgram();
-  PartitionOptions capture;
-  capture.capture_stages = true;
-  StatusOr<Executable> exe = program.Partition(
-      BpMpSchedule(), Mesh({{"B", 4}, {"M", 2}}), capture);
+  StatusOr<Executable> exe =
+      program.Partition(BpMpSchedule(), Mesh({{"B", 4}, {"M", 2}}));
   ASSERT_TRUE(exe.ok());
 
   StatusOr<std::string> source = exe->Print(Stage::Source());
@@ -192,8 +191,12 @@ TEST(FacadeTest, PrintExposesEveryStage) {
   ASSERT_TRUE(after_mp.ok());
   EXPECT_NE(after_mp->find("axis = \"M\""), std::string::npos);
 
+  // Incremental mode: the final loop form is the last tactic's.
   StatusOr<std::string> loops = exe->Print(Stage::Loops());
   ASSERT_TRUE(loops.ok());
+  EXPECT_EQ(*loops, *after_mp);
+  // A stage prints the same text every time.
+  EXPECT_EQ(exe->Print(Stage::AfterTactic(0)).value(), *after_bp);
 
   StatusOr<std::string> spmd = exe->Print(Stage::Spmd());
   ASSERT_TRUE(spmd.ok());
@@ -203,17 +206,19 @@ TEST(FacadeTest, PrintExposesEveryStage) {
   StatusOr<std::string> missing = exe->Print(Stage::AfterTactic(99));
   EXPECT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(exe->Print(Stage::AfterTactic(-1)).status().code(),
+            StatusCode::kInvalidArgument);
 
-  // Stages are absent (with a message) by default (capture is opt-in).
-  PartitionOptions no_capture;
-  no_capture.per_tactic_reports = false;
+  // Per-tactic reports do not change the stages: a partition without them
+  // prints the same loop forms.
+  PartitionOptions no_reports;
+  no_reports.per_tactic_reports = false;
   StatusOr<Executable> bare = program.Partition(
-      BpMpSchedule(), Mesh({{"B", 4}, {"M", 2}}), no_capture);
+      BpMpSchedule(), Mesh({{"B", 4}, {"M", 2}}), no_reports);
   ASSERT_TRUE(bare.ok());
-  StatusOr<std::string> uncaptured = bare->Print(Stage::AfterTactic(0));
-  EXPECT_FALSE(uncaptured.ok());
-  EXPECT_NE(uncaptured.status().message().find("capture_stages"),
-            std::string::npos);
+  EXPECT_EQ(bare->Print(Stage::AfterTactic(0)).value(), *after_bp);
+  EXPECT_EQ(bare->Print(Stage::AfterTactic(1)).value(), *after_mp);
+  EXPECT_EQ(bare->Print(Stage::Loops()).value(), *loops);
 }
 
 // ---- Typed error paths ----

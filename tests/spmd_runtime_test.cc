@@ -225,27 +225,6 @@ TEST(SpmdRuntimeTest, ThreadedRunsAreBitStableAcrossRepeats) {
   }
 }
 
-TEST(SpmdRuntimeTest, ArrivalOrderReductionStaysWithinTolerance) {
-  Program program = BuildChainProgram(8, 8, 8);
-  Mesh mesh({{"B", 2}, {"M", 2}, {"E", 2}});
-  Executable exe =
-      program
-          .Partition({ManualPartition{"BP", {{"x", 0}}, "B"},
-                      ManualPartition{"MP", {{"w1", 1}}, "M"},
-                      ManualPartition{"Z3", {{"w1", 0}, {"w2", 1}}, "E"}},
-                     mesh)
-          .value();
-  std::vector<Tensor> inputs = program.RandomInputs(13);
-  RunOptions relaxed;
-  relaxed.deterministic = false;
-  std::vector<Tensor> want = exe.Run(inputs).value();
-  std::vector<Tensor> got = exe.Run(inputs, relaxed).value();
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_LT(Tensor::MaxAbsDiff(want[i], got[i]), 1e-4f);
-  }
-}
-
 // ---- Typed Run errors (no aborts) ----
 
 TEST(SpmdRuntimeTest, ArityMismatchIsStatusNotAbort) {
