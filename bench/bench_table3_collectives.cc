@@ -29,7 +29,6 @@ CollectiveStats WithoutReduceScatterFormation(
     Program& step, const Mesh& mesh, const std::vector<Tactic>& schedule) {
   PartitionContext ctx(step.func(), mesh);
   PartitionOptions options;
-  options.per_tactic_reports = false;
   // This helper documents the pre-boundary-realization pipeline (the
   // "before" half of the rs-formation report), so both new mechanisms are
   // off: its rows are frozen at their historical values.
@@ -48,7 +47,6 @@ CollectiveStats WithoutBoundaryRealization(
     Program& step, const Mesh& mesh, const std::vector<Tactic>& schedule) {
   PartitionContext ctx(step.func(), mesh);
   PartitionOptions options;
-  options.per_tactic_reports = false;
   options.boundary_realization = false;
   StatusOr<PartitionResult> result =
       RunPartitionPipeline(ctx, schedule, options);

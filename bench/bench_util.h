@@ -43,12 +43,10 @@ inline void PrintRow(const std::vector<std::string>& cells, int width = 16) {
 inline Executable Run(Program& program, const Mesh& mesh,
                       const std::vector<Tactic>& schedule,
                       const DeviceSpec& device = Tpu_v3(),
-                      bool incremental = true,
-                      bool per_tactic = false) {
+                      bool incremental = true) {
   PartitionOptions options;
   options.device = device;
   options.incremental = incremental;
-  options.per_tactic_reports = per_tactic;
   StatusOr<Executable> exe = program.Partition(schedule, mesh, options);
   if (!exe.ok()) PARTIR_FATAL() << exe.status().ToString();
   return std::move(exe).value();

@@ -26,10 +26,7 @@ int main() {
   Mesh mesh({{"batch", 4}, {"model", 2}});
 
   // Reference point: the expert's manual batch parallelism.
-  PartitionOptions options;
-  options.per_tactic_reports = true;
-  StatusOr<Executable> manual =
-      program.Partition({schedules::UNetBP()}, mesh, options);
+  StatusOr<Executable> manual = program.Partition({schedules::UNetBP()}, mesh);
   if (!manual.ok()) {
     std::fprintf(stderr, "manual partitioning failed: %s\n",
                  manual.status().ToString().c_str());

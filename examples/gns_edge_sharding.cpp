@@ -27,10 +27,8 @@ int main() {
               static_cast<long long>(config.message_steps));
 
   Mesh mesh({{"batch", 4}});
-  PartitionOptions options;
-  options.per_tactic_reports = false;
   StatusOr<Executable> compiled =
-      program.Partition({schedules::GnsES()}, mesh, options);
+      program.Partition({schedules::GnsES()}, mesh);
   if (!compiled.ok()) {
     std::fprintf(stderr, "partitioning failed: %s\n",
                  compiled.status().ToString().c_str());

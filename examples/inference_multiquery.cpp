@@ -31,14 +31,12 @@ int main() {
     return BuildTransformerInference(module, config, decode_steps);
   });
   Mesh mesh({{"batch", 4}, {"model", 2}});
-  PartitionOptions options;
-  options.per_tactic_reports = false;
 
   using namespace schedules;
 
   // Baseline serving strategy: batch + Megatron model parallelism.
-  StatusOr<Executable> baseline = program.Partition(
-      {InferenceBP(), TransformerMP()}, mesh, options);
+  StatusOr<Executable> baseline =
+      program.Partition({InferenceBP(), TransformerMP()}, mesh);
   if (!baseline.ok()) {
     std::fprintf(stderr, "BP+MP failed: %s\n",
                  baseline.status().ToString().c_str());

@@ -1,8 +1,9 @@
 // Partitioning a transformer training step with the paper's production
 // schedule BP+MP+Z3 (Section 7.2) through the Program/Executable facade,
-// showing the per-tactic metadata PartIR returns: collective breakdown and
-// simulator estimates after each tactic — the "verify the strategy after
-// every tactic" workflow.
+// showing the cost of the strategy after each tactic — the "verify the
+// strategy after every tactic" workflow. The collective breakdown and
+// simulator estimate after tactic i are those of the schedule prefix
+// [0..i], which Executable::Respecialize partitions from the same trace.
 #include <cstdio>
 
 #include "src/api/partir.h"
@@ -30,11 +31,9 @@ int main() {
               static_cast<long long>(CountOps(*program.func())));
 
   Mesh mesh({{"batch", 4}, {"model", 2}});
-  PartitionOptions options;
-  options.per_tactic_reports = true;
+  const std::vector<Tactic> schedule = schedules::TransformerBPMPZ3();
 
-  StatusOr<Executable> compiled =
-      program.Partition(schedules::TransformerBPMPZ3(), mesh, options);
+  StatusOr<Executable> compiled = program.Partition(schedule, mesh);
   if (!compiled.ok()) {
     std::fprintf(stderr, "partitioning failed: %s\n",
                  compiled.status().ToString().c_str());
@@ -44,12 +43,20 @@ int main() {
 
   std::printf("\n%-8s %-8s %-12s %-12s %s\n", "tactic", "actions",
               "ms/step est", "peak MB est", "collectives");
-  for (const TacticReport& report : exe.tactics()) {
+  for (size_t i = 0; i < schedule.size(); ++i) {
+    StatusOr<Executable> prefix = exe.Respecialize(
+        std::vector<Tactic>(schedule.begin(), schedule.begin() + i + 1));
+    if (!prefix.ok()) {
+      std::fprintf(stderr, "partitioning the prefix failed: %s\n",
+                   prefix.status().ToString().c_str());
+      return 1;
+    }
+    const TacticReport& report = exe.tactics()[i];
     std::printf("%-8s %-8d %-12.3f %-12.2f %s\n", report.name.c_str(),
                 report.actions_applied,
-                report.estimate.step_seconds * 1e3,
-                report.estimate.peak_memory_bytes / 1e6,
-                report.collectives.ToString().c_str());
+                prefix->Estimate().step_seconds * 1e3,
+                prefix->Estimate().peak_memory_bytes / 1e6,
+                prefix->Collectives().ToString().c_str());
   }
   std::printf("\nFinal: %s | est %.3f ms/step, %.2f MB peak\n",
               exe.Collectives().ToString().c_str(),

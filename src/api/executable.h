@@ -159,7 +159,10 @@ class Executable {
    */
   StatusOr<std::string> Print(Stage stage) const;
 
-  /** Per-tactic metadata, in schedule order. */
+  /** Per-tactic metadata, in schedule order: name, actions applied,
+   *  cumulative conflicts, wall-clock and search statistics. The
+   *  collectives and estimate after tactic i are those of
+   *  Respecialize(schedule[0..i]). */
   const std::vector<TacticReport>& tactics() const { return result_.tactics; }
   /** Propagation conflicts recorded over the whole schedule. */
   const std::vector<Conflict>& conflicts() const { return result_.conflicts; }

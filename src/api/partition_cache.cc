@@ -289,7 +289,7 @@ std::string PartitionCacheKey(uint64_t trace_fingerprint,
   return StrCat(
       "trace:", trace_fingerprint, "|mesh:", MeshKey(mesh),
       "|opts:", DeviceKey(options.device), ",", options.incremental, ",",
-      options.per_tactic_reports, ",", options.boundary_realization,
+      options.boundary_realization, ",", options.analyze,
       "|schedule:", StrJoin(schedule, ",", TacticKey));
 }
 

@@ -88,21 +88,6 @@ Status PropagatePass::Run(PipelineState& state) {
   return Status::Ok();
 }
 
-std::string TacticReportPass::name() const {
-  return StrCat("report[", tactic_index_, "]");
-}
-
-Status TacticReportPass::Run(PipelineState& state) {
-  // Internal snapshot: state reached via checked actions cannot fail the
-  // lowering validation, so take the unchecked path.
-  SpmdModule snapshot = LowerToSpmd(state.ctx);
-  OptimizeSpmd(snapshot);
-  TacticReport& report = ReportFor(state, tactic_index_);
-  report.collectives = CountCollectives(*snapshot.module, snapshot.mesh);
-  report.estimate = EstimateSpmd(snapshot, state.options.device);
-  return Status::Ok();
-}
-
 std::string LowerToSpmdPass::name() const { return "lower-to-spmd"; }
 
 Status LowerToSpmdPass::Run(PipelineState& state) {

@@ -58,19 +58,6 @@ class PropagatePass : public Pass {
   int tactic_index_;
 };
 
-/** Fills one tactic's per-prefix report (collective counts + simulator
- *  estimate) by lowering and optimizing a throwaway snapshot. */
-class TacticReportPass : public Pass {
- public:
-  explicit TacticReportPass(int tactic_index)
-      : tactic_index_(tactic_index) {}
-  std::string name() const override;
-  Status Run(PipelineState& state) override;
-
- private:
-  int tactic_index_;
-};
-
 /** Lowers the partitioning state to the device-local SPMD module
  *  (Section 6 / Appendix C); after it, passes rewrite result.spmd. */
 class LowerToSpmdPass : public Pass {

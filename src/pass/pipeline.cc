@@ -11,10 +11,10 @@ namespace partir {
 namespace {
 
 /**
- * Registers the passes of tactics [0, count) of `schedule`: tactic[i], its
- * propagation (incremental mode, manual tactics) and report[i]
- * (per_tactic_reports). The pipeline registers every tactic through it and
- * ReplayLoopForm a prefix, so a replayed stage runs the same passes.
+ * Registers the passes of tactics [0, count) of `schedule`: tactic[i] and
+ * its propagation (incremental mode, manual tactics). The pipeline
+ * registers every tactic through it and ReplayLoopForm a prefix, so a
+ * replayed stage runs the same passes.
  */
 void AddTacticPasses(PassManager& manager,
                      const std::vector<Tactic>& schedule, int count,
@@ -33,9 +33,6 @@ void AddTacticPasses(PassManager& manager,
       manager.AddPass(std::make_unique<AutoTacticPass>(
                           i, std::get<AutomaticPartition>(tactic)),
                       i);
-    }
-    if (options.per_tactic_reports) {
-      manager.AddPass(std::make_unique<TacticReportPass>(i));
     }
   }
 }
@@ -103,17 +100,15 @@ StatusOr<PartitionResult> RunPartitionPipeline(
 StatusOr<std::unique_ptr<Module>> ReplayLoopForm(
     PartitionContext& ctx, const std::vector<Tactic>& schedule, int count,
     bool deferred_propagation, const PartitionOptions& options) {
-  PartitionOptions replay = options;
-  replay.per_tactic_reports = false;
   PipelineOptions pipeline_options;
   pipeline_options.verify_after_each_pass = false;  // the form is verified
   PassManager manager(pipeline_options);
-  AddTacticPasses(manager, schedule, count, replay);
+  AddTacticPasses(manager, schedule, count, options);
   if (deferred_propagation) {
     manager.AddPass(std::make_unique<PropagatePass>());
   }
   PartitionResult replay_result;  // the replayed reports are discarded
-  PipelineState state(ctx, schedule, replay, replay_result);
+  PipelineState state(ctx, schedule, options, replay_result);
   PARTIR_RETURN_IF_ERROR(manager.Run(state));
   std::unique_ptr<Module> loops = MaterializeLoops(ctx);
   std::vector<std::string> diags = Verify(*loops);

@@ -32,11 +32,15 @@ struct PipelineVariant {
  *
  *   per tactic i:  tactic[i]        (manual actions or automatic search)
  *                  propagate        (incremental mode, manual tactics)
- *                  report[i]        (per_tactic_reports)
  *   then:          propagate        (PartIR-st: single deferred propagation)
  *                  lower-to-spmd
  *   to fixpoint:   fuse-gather-slice | form-reduce-scatter | dce
  *   finally:       plan-collectives
+ *                  compile-device-programs
+ *                  static-analysis  (PartitionOptions::analyze)
+ *
+ * The module is lowered and optimized once. The collectives and estimate
+ * after tactic i are those of partitioning schedule[0..i].
  */
 void BuildPartitionPipeline(PassManager& manager,
                             const std::vector<Tactic>& schedule,
@@ -57,8 +61,8 @@ StatusOr<PartitionResult> RunPartitionPipeline(
 /**
  * Recomputes the PartIR:Core loop form (Section 5) after tactics
  * [0, count) of `schedule` on a fresh `ctx`: the same tactic and
- * propagation passes the pipeline runs, with reports off, then PartIR-st's
- * deferred propagation when `deferred_propagation` is set. Automatic
+ * propagation passes the pipeline runs, then PartIR-st's deferred
+ * propagation when `deferred_propagation` is set. Automatic
  * tactics re-run their seeded search. The materialized module is verified;
  * a violation is a typed kInternal Status. Executable::Print renders the
  * loop-form stages through it.

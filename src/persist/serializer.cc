@@ -528,8 +528,6 @@ std::string SerializePartitionResult(const PartitionResult& result) {
     writer.WriteStr(report.name);
     writer.WriteI64(report.actions_applied);
     writer.WriteI64(report.conflicts);
-    WriteCollectiveStats(writer, report.collectives);
-    WriteEstimate(writer, report.estimate);
     writer.WriteF64(report.tactic_seconds);
     writer.WriteI64(report.evaluations);
     writer.WriteF64(report.search_seconds);
@@ -621,8 +619,6 @@ StatusOr<PartitionResult> DeserializePartitionResult(
     report.name = reader.ReadStr();
     report.actions_applied = static_cast<int>(reader.ReadI64());
     report.conflicts = static_cast<int>(reader.ReadI64());
-    report.collectives = ReadCollectiveStats(reader);
-    report.estimate = ReadEstimate(reader);
     report.tactic_seconds = reader.ReadF64();
     report.evaluations = static_cast<int>(reader.ReadI64());
     report.search_seconds = reader.ReadF64();

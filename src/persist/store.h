@@ -36,8 +36,9 @@ namespace persist {
  *  other versions decode as kNotFound (stale), not as data loss.
  *  v2: PartitionResult carries the static-analysis report and the pipeline
  *  analysis counts.
- *  v3: PartitionResult no longer carries stage snapshots. */
-inline constexpr uint32_t kFormatVersion = 3;
+ *  v3: PartitionResult no longer carries stage snapshots.
+ *  v4: TacticReport no longer carries collective counts or an estimate. */
+inline constexpr uint32_t kFormatVersion = 4;
 
 /** What an entry's payload contains. Stored in the header so a file saved
  *  through one facade cannot be misinterpreted by another. */

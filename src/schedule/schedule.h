@@ -6,8 +6,10 @@
  * incrementally. `PartirJitOrError` runs a schedule through the whole
  * stack — actions -> propagation -> SPMD lowering -> collective
  * optimization — and returns the device-local module together with
- * per-tactic metadata (collective breakdown and simulator estimates), the
- * paper's headline "verify the strategy after every tactic" workflow.
+ * per-tactic metadata (actions applied, conflicts, wall-clock). The cost
+ * of the strategy after tactic i is the partition of the schedule prefix
+ * [0..i] (Executable::Respecialize), which is how the paper's "verify the
+ * strategy after every tactic" workflow reads collectives and estimates.
  */
 #ifndef PARTIR_SCHEDULE_SCHEDULE_H_
 #define PARTIR_SCHEDULE_SCHEDULE_H_
@@ -59,13 +61,15 @@ struct AutomaticPartition {
 
 using Tactic = std::variant<ManualPartition, AutomaticPartition>;
 
-/** Metadata reported after each tactic (PartIR.jit's returned metadata). */
+/**
+ * Metadata recorded by each tactic's passes (PartIR.jit's returned
+ * metadata). The collectives and estimate after a tactic are the final
+ * ones of partitioning the schedule prefix that ends with it.
+ */
 struct TacticReport {
   std::string name;
   int actions_applied = 0;       // tile/atomic actions that took effect
   int conflicts = 0;             // cumulative propagation conflicts
-  CollectiveStats collectives;   // after lowering this tactic's prefix
-  SimEstimate estimate;          // simulator estimate of the prefix
   double tactic_seconds = 0;     // wall-clock spent in this tactic
   int evaluations = 0;           // simulator evaluations (automatic tactics)
   double search_seconds = 0;     // search wall-clock (automatic tactics)
@@ -80,8 +84,6 @@ struct PartitionOptions {
    *         tactics into one and propagates once at the end.
    */
   bool incremental = true;
-  /** Lower + simulate after every tactic (per-tactic metadata). */
-  bool per_tactic_reports = true;
   /** Run the IR verifier between pipeline passes (defaults on in
    *  assertion-enabled builds). A violation surfaces as a typed kInternal
    *  Status naming the pass. Not part of the cache key (it cannot change
@@ -121,8 +123,9 @@ struct PartitionOptions {
    * verification) as a final pipeline pass. Errors fail the pipeline with a
    * typed kInternal Status; the full report (warnings included) lands in
    * PartitionResult::analysis and its counts in pipeline_stats(). Defaults
-   * on in assertion-enabled builds, like verify_passes. Not part of the
-   * cache key (it cannot change the partitioned program).
+   * on in assertion-enabled builds, like verify_passes. Part of the cache
+   * key: a cached result carries the analysis its miss ran, so a request
+   * for analysis must not be served one that skipped it.
    */
   bool analyze = kVerifyPassesDefault;
 };

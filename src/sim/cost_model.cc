@@ -328,8 +328,9 @@ Realization ChooseBoundaryRealization(PartitionContext& ctx,
     // the statistic is small. ScoreBoundaryRealization always favors
     // gathering here (a stat is ~1/d_model the size of its operand, so
     // 2x-ing it via all_reduce still beats nothing, but the *operand* is
-    // re-used by the rescale anyway and its gather is shared), so tiled
-    // partials stop at the statistic and the value is realized.
+    // re-used by the rescale anyway), so tiled partials stop at the
+    // statistic and the value is realized. The lowering gathers the
+    // operand at each use, like any other redistribution.
     return Realization::kGather;
   }
   if (op.kind() != OpKind::kDot) return Realization::kReduce;

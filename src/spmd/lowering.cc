@@ -111,64 +111,6 @@ class SpmdLowering {
     return it->second;
   }
 
-  static bool SameTiles(const std::vector<ValueTile>& a,
-                        const std::vector<ValueTile>& b) {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].axis != b[i].axis || a[i].dim != b[i].dim) return false;
-    }
-    return true;
-  }
-
-  /** One all_gather per (source value, dropped tiles), shared across the
-   *  boundary-gather realizations that need the same full value. */
-  Value* MemoizedGather(const Value* src, const std::vector<ValueTile>& from) {
-    std::string key;
-    for (const ValueTile& tile : from) {
-      key = StrCat(key, tile.axis, ":", tile.dim, ",");
-    }
-    auto [it, inserted] = gather_memo_.try_emplace({src, std::move(key)});
-    if (inserted) it->second = Reshard(Mapped(src), from, {});
-    return it->second;
-  }
-
-  /**
-   * The boundary-gather realization (Realization::kGather recorded for
-   * this op by the propagation policy): the gathers it implies realize one
-   * logical value, not per-use resharding, so they are deduplicated --
-   * one all_gather per (value, tiles) -- and a gather of a squared
-   * operand (mul(v,v), the second-moment statistic) is hoisted to v,
-   * where it unifies with the mean statistic's gather of the same v.
-   * Returns null when this operand is not a pure policy-realized gather
-   * (then the caller reshards per-use as usual, preserving e.g. the
-   * Z3-style once-per-use parameter gathers).
-   */
-  Value* BoundaryGather(const Operation& op, int i,
-                        const std::vector<ValueTile>& required) {
-    if (!required.empty()) return nullptr;
-    const Value* src = op.operand(i);
-    const std::vector<ValueTile>& from = PlacementOf(src);
-    if (from.empty()) return nullptr;
-    const auto& realizations = ctx_.realizations();
-    for (const ValueTile& tile : from) {
-      auto it = realizations.find({&op, tile.axis});
-      if (it == realizations.end() || it->second != Realization::kGather) {
-        return nullptr;
-      }
-    }
-    const Operation* def = src->IsBlockArg() ? nullptr : src->def();
-    if (def != nullptr && def->kind() == OpKind::kMul &&
-        def->operand(0) == def->operand(1) &&
-        SameTiles(PlacementOf(def->operand(0)), from)) {
-      Value* full = MemoizedGather(def->operand(0), from);
-      Operation* square = builder_.Create(
-          OpKind::kMul, {full, full}, {full->type()});
-      square->result()->set_name(StrCat(src->name(), "_full"));
-      return square->result();
-    }
-    return MemoizedGather(src, from);
-  }
-
   const std::vector<ValueTile>& PlacementOf(const Value* value) {
     auto it = placement_.find(value);
     PARTIR_CHECK(it != placement_.end()) << "spmd lowering: no placement";
@@ -534,8 +476,7 @@ class SpmdLowering {
           required.push_back(ValueTile{entry.axis, factor.operand_dims[i]});
         }
       }
-      Value* local = BoundaryGather(op, i, required);
-      if (local == nullptr) local = SharedRealizedGather(op, i, required);
+      Value* local = SharedRealizedGather(op, i, required);
       if (local == nullptr) {
         local = Reshard(Mapped(op.operand(i)), PlacementOf(op.operand(i)),
                         required);
@@ -628,7 +569,6 @@ class SpmdLowering {
   OpBuilder builder_;
   std::map<const Value*, Value*> map_;
   std::map<const Value*, std::vector<ValueTile>> placement_;
-  std::map<std::pair<const Value*, std::string>, Value*> gather_memo_;
   std::map<std::pair<const Value*, std::string>, std::pair<Value*, int>>
       shared_gathers_;
   DeferredStat deferred_;

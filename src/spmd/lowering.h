@@ -9,8 +9,10 @@
  * axes become all_reduce; and whenever a value's realized placement differs
  * from the placement a use requires, a *redistribution* is inserted —
  * all_gather, all_slice, or all_to_all. Redistributions are emitted per use
- * site (never CSE'd), which is what yields FSDP's re-gather in forward and
- * backward passes and its peak-memory savings.
+ * site, which is what yields FSDP's re-gather in forward and backward passes
+ * and its peak-memory savings. The one shared redistribution is the full
+ * gather of a scatter-realized gradient value: uses within a short op window
+ * reuse it instead of gathering again.
  */
 #ifndef PARTIR_SPMD_LOWERING_H_
 #define PARTIR_SPMD_LOWERING_H_

@@ -37,9 +37,7 @@ TransformerConfig TinyTransformer() {
 PartitionResult RunSchedule(Func* func, const Mesh& mesh,
                             const std::vector<Tactic>& schedule) {
   PartitionContext ctx(func, mesh);
-  PartitionOptions options;
-  options.per_tactic_reports = false;
-  return PartirJitOrError(ctx, schedule, options).value();
+  return PartirJitOrError(ctx, schedule).value();
 }
 
 TEST(TransformerModelTest, ParamCountIs9PerBlockPlusEmbedding) {
@@ -170,10 +168,8 @@ TEST(TransformerModelTest, InferenceBpHasNoCollectives) {
   Func* infer = BuildTransformerInference(module, config, /*decode_steps=*/3);
   Mesh mesh({{"batch", 4}, {"model", 2}});
   PartitionContext ctx(infer, mesh);
-  PartitionOptions options;
-  options.per_tactic_reports = false;
   ManualPartition bp{"BP", {{"tokens", 0}, {"decode_tokens", 0}}, "batch"};
-  PartitionResult result = PartirJitOrError(ctx, {bp}, options).value();
+  PartitionResult result = PartirJitOrError(ctx, {bp}).value();
   EXPECT_EQ(result.collectives.all_reduce, 0);
   EXPECT_EQ(result.collectives.all_gather, 0);
   EXPECT_EQ(result.collectives.all_to_all, 0);
@@ -186,11 +182,9 @@ TEST(TransformerModelTest, InferenceMpCostsTwoARsPerLayerPerPosition) {
   Func* infer = BuildTransformerInference(module, config, steps);
   Mesh mesh({{"batch", 4}, {"model", 2}});
   PartitionContext ctx(infer, mesh);
-  PartitionOptions options;
-  options.per_tactic_reports = false;
   ManualPartition bp{"BP", {{"tokens", 0}, {"decode_tokens", 0}}, "batch"};
   PartitionResult result =
-      PartirJitOrError(ctx, {bp, schedules::TransformerMP()}, options).value();
+      PartirJitOrError(ctx, {bp, schedules::TransformerMP()}).value();
   // 2 AR per layer for the prefill + 2 per layer per decode step.
   EXPECT_EQ(result.collectives.all_reduce,
             2 * config.num_layers * (steps + 1));
@@ -204,12 +198,11 @@ TEST(TransformerModelTest, MultiQueryShardingIntroducesAllToAlls) {
   Func* infer = BuildTransformerInference(module, config, steps);
   Mesh mesh({{"batch", 4}, {"model", 2}});
   PartitionContext ctx(infer, mesh);
-  PartitionOptions options;
-  options.per_tactic_reports = false;
   ManualPartition bp{"BP", {{"tokens", 0}, {"decode_tokens", 0}}, "batch"};
-  PartitionResult result = PartirJitOrError(
-      ctx, {bp, schedules::TransformerMP(), schedules::TransformerMQ()},
-      options).value();
+  PartitionResult result =
+      PartirJitOrError(
+          ctx, {bp, schedules::TransformerMP(), schedules::TransformerMQ()})
+          .value();
   // Two all_to_alls per layer per decode step (q in, attention out).
   EXPECT_EQ(result.collectives.all_to_all,
             2 * config.num_layers * steps);
@@ -269,11 +262,8 @@ TEST(UNetModelTest, BpSpmdMatchesReference) {
   Func* loss = BuildUNetLoss(module, config);
   Mesh mesh({{"batch", 2}, {"model", 2}});
   PartitionContext ctx(loss, mesh);
-  PartitionOptions options;
-  options.per_tactic_reports = false;
   PartitionResult result =
-      PartirJitOrError(ctx, {schedules::UNetBP(), schedules::UNetMP()},
-                       options)
+      PartirJitOrError(ctx, {schedules::UNetBP(), schedules::UNetMP()})
           .value();
   auto inputs = MakeRandomInputs(*loss, 31);
   auto want = Evaluate(*loss, inputs);
@@ -307,10 +297,8 @@ TEST(GnsModelTest, EsSpmdMatchesReference) {
   Func* loss = BuildGnsLoss(module, config);
   Mesh mesh({{"batch", 4}});
   PartitionContext ctx(loss, mesh);
-  PartitionOptions options;
-  options.per_tactic_reports = false;
   PartitionResult result =
-      PartirJitOrError(ctx, {schedules::GnsES()}, options).value();
+      PartirJitOrError(ctx, {schedules::GnsES()}).value();
   auto inputs = MakeRandomInputs(
       *loss, 41, /*index_modulus=*/static_cast<float>(config.num_nodes));
   auto want = Evaluate(*loss, inputs);

@@ -105,11 +105,16 @@ TEST(PartitionCacheTest, DifferentRequestsMiss) {
   PartitionOptions st;
   st.incremental = false;
   (void)program.Partition(BpSchedule(), mesh, st).value();
+  // Flipped analysis: a hit would carry the analysis its miss ran (or
+  // skipped) instead of the one requested.
+  PartitionOptions flipped;
+  flipped.analyze = !flipped.analyze;
+  (void)program.Partition(BpSchedule(), mesh, flipped).value();
 
   PartitionCacheStats stats = program.cache_stats();
   EXPECT_EQ(stats.hits, 0);
-  EXPECT_EQ(stats.misses, 4);
-  EXPECT_EQ(stats.entries, 4);
+  EXPECT_EQ(stats.misses, 5);
+  EXPECT_EQ(stats.entries, 5);
 }
 
 TEST(PartitionCacheTest, RespecializeSharesTheCache) {

@@ -106,10 +106,6 @@ void ExpectRoundTrips(const PartitionResult& original,
     EXPECT_EQ(original.tactics[i].name, restored->tactics[i].name);
     EXPECT_EQ(original.tactics[i].actions_applied,
               restored->tactics[i].actions_applied);
-    EXPECT_EQ(original.tactics[i].collectives.ToString(),
-              restored->tactics[i].collectives.ToString());
-    EXPECT_EQ(original.tactics[i].estimate.ToString(),
-              restored->tactics[i].estimate.ToString());
   }
   ASSERT_EQ(original.conflicts.size(), restored->conflicts.size());
   for (size_t i = 0; i < original.conflicts.size(); ++i) {

@@ -106,11 +106,13 @@ TEST(PersistStoreTest, FlippedChecksumByteIsDataLoss) {
 }
 
 TEST(PersistStoreTest, WrongVersionIsAMissNotDamage) {
-  // Format 2 partition results still carried stage snapshots; like any
-  // other version, a format 2 entry must read as a miss.
+  // Format 2 partition results still carried stage snapshots, and format 3
+  // tactic reports carried collective counts and an estimate; like any
+  // other version, such an entry must read as a miss.
   ASSERT_NE(persist::kFormatVersion, 2u);
+  ASSERT_NE(persist::kFormatVersion, 3u);
   for (char low_byte : {static_cast<char>(persist::kFormatVersion ^ 0xFF),
-                        static_cast<char>(2)}) {
+                        static_cast<char>(2), static_cast<char>(3)}) {
     std::string bytes = EncodeEntry(PayloadKind::kModule, "key", "payload");
     // The little-endian format version follows the 8-byte magic.
     bytes[8] = low_byte;

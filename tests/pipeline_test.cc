@@ -37,20 +37,23 @@ Chain BuildChain(int64_t rows = 64) {
 
 TEST(ScheduleTest, PerTacticReportsShowIncrementalProgress) {
   Chain chain = BuildChain();
-  PartitionContext ctx(chain.func, Mesh({{"B", 4}, {"M", 2}}));
-  PartitionOptions options;
-  options.per_tactic_reports = true;
+  Mesh mesh({{"B", 4}, {"M", 2}});
   ManualPartition bp{"BP", {{"x", 0}}, "B"};
   ManualPartition mp{"MP", {{"w1", 1}}, "M"};
-  PartitionResult result = PartirJitOrError(ctx, {bp, mp}, options).value();
+  PartitionContext ctx(chain.func, mesh);
+  PartitionResult result = PartirJitOrError(ctx, {bp, mp}).value();
   ASSERT_EQ(result.tactics.size(), 2u);
   EXPECT_EQ(result.tactics[0].name, "BP");
-  EXPECT_EQ(result.tactics[0].collectives.all_reduce, 0);
-  EXPECT_EQ(result.tactics[1].collectives.all_reduce, 1);
-  EXPECT_GT(result.tactics[0].estimate.step_seconds, 0);
+  EXPECT_EQ(result.tactics[1].name, "MP");
+  // The cost after BP is that of partitioning the prefix {BP}.
+  PartitionContext bp_ctx(chain.func, mesh);
+  PartitionResult after_bp = PartirJitOrError(bp_ctx, {bp}).value();
+  EXPECT_EQ(after_bp.collectives.all_reduce, 0);
+  EXPECT_EQ(result.collectives.all_reduce, 1);
+  EXPECT_GT(after_bp.estimate.step_seconds, 0);
   // Memory drops as the second tactic shards the weights.
-  EXPECT_LE(result.tactics[1].estimate.peak_memory_bytes,
-            result.tactics[0].estimate.peak_memory_bytes);
+  EXPECT_LE(result.estimate.peak_memory_bytes,
+            after_bp.estimate.peak_memory_bytes);
 }
 
 TEST(ScheduleTest, SubstringKeysMatchAllBlocks) {
@@ -98,7 +101,6 @@ TEST(ScheduleTest, NonIncrementalModeDefersToOnePropagation) {
   PartitionContext ctx(chain.func, Mesh({{"B", 4}}));
   PartitionOptions options;
   options.incremental = false;
-  options.per_tactic_reports = false;
   // Conflicting seeds: with incrementality BP would win at the first
   // matmul; amalgamated, the conflict blocks propagation entirely.
   ManualPartition bp{"BP", {{"x", 0}}, "B"};
@@ -247,10 +249,8 @@ TEST(BaselineTest, GspmdMatchesPartirOnConflictFreeSchedule) {
   // On a conflict-free BP schedule both systems produce the same counts.
   Chain a = BuildChain();
   PartitionContext partir_ctx(a.func, Mesh({{"B", 4}}));
-  PartitionOptions options;
-  options.per_tactic_reports = false;
   ManualPartition bp{"BP", {{"x", 0}}, "B"};
-  PartitionResult partir = PartirJitOrError(partir_ctx, {bp}, options).value();
+  PartitionResult partir = PartirJitOrError(partir_ctx, {bp}).value();
 
   Chain b = BuildChain();
   PartitionContext gspmd_ctx(b.func, Mesh({{"B", 4}}));

@@ -527,7 +527,6 @@ TEST(PropagationTest, BoundaryAblationRestoresAllReduceOnlyEmbRow) {
   Func* step = BuildTransformerTrainingStep(module, config);
   PartitionContext ctx(step, Mesh({{"batch", 16}, {"model", 2}}));
   PartitionOptions options;
-  options.per_tactic_reports = false;
   options.use_cache = false;
   options.boundary_realization = false;
   PartitionResult result =
@@ -551,7 +550,6 @@ TEST(PropagationTest, BoundaryRealizationEmbCountsScaleWithDepth) {
   Func* step = BuildTransformerTrainingStep(module, config);
   PartitionContext ctx(step, Mesh({{"batch", 16}, {"model", 2}}));
   PartitionOptions options;
-  options.per_tactic_reports = false;
   options.use_cache = false;
   PartitionResult result =
       PartirJitOrError(ctx, {schedules::TransformerEMB()}, options).value();

@@ -79,23 +79,24 @@ TEST(FacadeTest, PartitionRunsEndToEnd) {
 
 TEST(FacadeTest, TacticReportsCarryPerTacticMetadata) {
   Program program = BuildChainProgram();
-  PartitionOptions options;
-  options.per_tactic_reports = true;
   StatusOr<Executable> exe =
-      program.Partition(BpMpSchedule(), Mesh({{"B", 4}, {"M", 2}}), options);
+      program.Partition(BpMpSchedule(), Mesh({{"B", 4}, {"M", 2}}));
   ASSERT_TRUE(exe.ok()) << exe.status().ToString();
   ASSERT_EQ(exe->tactics().size(), 2u);
   EXPECT_EQ(exe->tactics()[0].name, "BP");
   EXPECT_EQ(exe->tactics()[1].name, "MP");
   EXPECT_GT(exe->tactics()[0].actions_applied, 0);
-  EXPECT_GT(exe->tactics()[0].estimate.step_seconds, 0);
   EXPECT_GE(exe->tactics()[0].tactic_seconds, 0);
+  // The cost after BP is that of partitioning the prefix {BP}.
+  StatusOr<Executable> after_bp = exe->Respecialize({BpMpSchedule()[0]});
+  ASSERT_TRUE(after_bp.ok()) << after_bp.status().ToString();
+  EXPECT_GT(after_bp->Estimate().step_seconds, 0);
   // MP introduces the contraction all_reduce; BP alone has none.
-  EXPECT_EQ(exe->tactics()[0].collectives.all_reduce, 0);
-  EXPECT_EQ(exe->tactics()[1].collectives.all_reduce, 1);
+  EXPECT_EQ(after_bp->Collectives().all_reduce, 0);
+  EXPECT_EQ(exe->Collectives().all_reduce, 1);
   // Memory drops as the second tactic shards the weights.
-  EXPECT_LE(exe->tactics()[1].estimate.peak_memory_bytes,
-            exe->tactics()[0].estimate.peak_memory_bytes);
+  EXPECT_LE(exe->Estimate().peak_memory_bytes,
+            after_bp->Estimate().peak_memory_bytes);
 }
 
 TEST(FacadeTest, IncrementalBeatsSinglePropagationAblation) {
@@ -108,14 +109,12 @@ TEST(FacadeTest, IncrementalBeatsSinglePropagationAblation) {
   Mesh mesh({{"B", 4}});
 
   Program incremental_program = BuildChainProgram();
-  PartitionOptions incremental_options;
-  incremental_options.per_tactic_reports = false;
-  StatusOr<Executable> incremental = incremental_program.Partition(
-      conflicting, mesh, incremental_options);
+  StatusOr<Executable> incremental =
+      incremental_program.Partition(conflicting, mesh);
   ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
 
   Program st_program = BuildChainProgram();
-  PartitionOptions st_options = incremental_options;
+  PartitionOptions st_options;
   st_options.incremental = false;  // PartIR-st
   StatusOr<Executable> st = st_program.Partition(conflicting, mesh,
                                                  st_options);
@@ -208,17 +207,6 @@ TEST(FacadeTest, PrintExposesEveryStage) {
   EXPECT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(exe->Print(Stage::AfterTactic(-1)).status().code(),
             StatusCode::kInvalidArgument);
-
-  // Per-tactic reports do not change the stages: a partition without them
-  // prints the same loop forms.
-  PartitionOptions no_reports;
-  no_reports.per_tactic_reports = false;
-  StatusOr<Executable> bare = program.Partition(
-      BpMpSchedule(), Mesh({{"B", 4}, {"M", 2}}), no_reports);
-  ASSERT_TRUE(bare.ok());
-  EXPECT_EQ(bare->Print(Stage::AfterTactic(0)).value(), *after_bp);
-  EXPECT_EQ(bare->Print(Stage::AfterTactic(1)).value(), *after_mp);
-  EXPECT_EQ(bare->Print(Stage::Loops()).value(), *loops);
 }
 
 // ---- Typed error paths ----
