@@ -13,8 +13,11 @@
 // column. Output is one JSON object on stdout.
 //
 // With --enforce-floor, exits non-zero unless the compiled executor run
-// sequentially is at least kSpeedupFloor x faster than the walker on
-// matmul_chain — the CI regression gate for the compiled executor.
+// sequentially beats the walker by at least kChainFloor x on matmul_chain
+// and kTransformerFloor x on transformer_infer — the CI regression gates
+// for the compiled executor. transformer_infer is the representative one:
+// 57 dots of every layout plus reduces, transposes and broadcasts, all on
+// the strided kernels.
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -31,11 +34,11 @@ using serving::AllServeWorkloads;
 using serving::ServeWorkload;
 using Clock = std::chrono::steady_clock;
 
-// CI floor: compiled must beat the walker by this factor on the
-// matmul_chain workload (sequential mode, which is noise-free in CI).
-// Raised from 1.5 when the kernel tier (fused elementwise chains + blocked
-// dot) landed.
-constexpr double kSpeedupFloor = 2.5;
+// CI floors: compiled must beat the walker by these factors, run
+// sequentially (noise-free in CI). Both sit well below what a 4-vCPU host
+// measures (11-13x and 31-33x), leaving room for slower CI runners.
+constexpr double kChainFloor = 2.5;
+constexpr double kTransformerFloor = 5.0;
 constexpr int64_t kBenchBatch = 8;
 
 double MsSince(Clock::time_point start) {
@@ -93,6 +96,7 @@ int main(int argc, char** argv) {
   json.Key("workloads").BeginArray();
 
   double chain_sequential_speedup = 0;
+  double transformer_sequential_speedup = 0;
   for (const ServeWorkload& workload : AllServeWorkloads()) {
     Program program = Program::Capture(workload.build, kBenchBatch);
     Executable exe = PartitionOrFallback(program, workload);
@@ -128,6 +132,9 @@ int main(int argc, char** argv) {
       if (workload.name == "matmul_chain" && threads == 1) {
         chain_sequential_speedup = speedup;
       }
+      if (workload.name == "transformer_infer" && threads == 1) {
+        transformer_sequential_speedup = speedup;
+      }
       json.BeginObject();
       json.Key("threads")
           .Value(threads == 0 ? stats.num_devices
@@ -154,18 +161,38 @@ int main(int argc, char** argv) {
     json.EndObject();
   }
   json.EndArray();
-  json.Key("floor").Value(kSpeedupFloor);
-  json.Key("floor_workload").Value("matmul_chain");
-  json.Key("floor_speedup").Value(chain_sequential_speedup);
-  json.Key("floor_ok").Value(chain_sequential_speedup >= kSpeedupFloor);
+  struct Floor {
+    const char* workload;
+    double floor;
+    double speedup;
+  };
+  const Floor floors[] = {
+      {"matmul_chain", kChainFloor, chain_sequential_speedup},
+      {"transformer_infer", kTransformerFloor, transformer_sequential_speedup},
+  };
+  bool floors_ok = true;
+  json.Key("floors").BeginArray();
+  for (const Floor& floor : floors) {
+    json.BeginObject();
+    json.Key("workload").Value(floor.workload);
+    json.Key("floor").Value(floor.floor);
+    json.Key("speedup").Value(floor.speedup);
+    json.Key("ok").Value(floor.speedup >= floor.floor);
+    json.EndObject();
+    floors_ok &= floor.speedup >= floor.floor;
+  }
+  json.EndArray();
   json.EndObject();
   std::printf("%s\n", json.str().c_str());
 
-  if (enforce_floor && chain_sequential_speedup < kSpeedupFloor) {
-    std::fprintf(stderr,
-                 "FAIL: compiled executor %.2fx vs the walker on "
-                 "matmul_chain (floor %.2fx)\n",
-                 chain_sequential_speedup, kSpeedupFloor);
+  if (enforce_floor && !floors_ok) {
+    for (const Floor& floor : floors) {
+      if (floor.speedup >= floor.floor) continue;
+      std::fprintf(stderr,
+                   "FAIL: compiled executor %.2fx vs the walker on %s "
+                   "(floor %.2fx)\n",
+                   floor.speedup, floor.workload, floor.floor);
+    }
     return 1;
   }
   return 0;

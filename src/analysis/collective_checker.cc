@@ -228,7 +228,7 @@ void CheckCollectiveTraces(const std::vector<DeviceTrace>& traces,
         kDeadlock, site.location,
         StrCat("rendezvous site ", site_id, " expects ", site.group_size,
                " participant(s) but ", site.arrivals.size(), " arrive: ",
-               site.arrivals.size() < site.group_size
+               static_cast<int64_t>(site.arrivals.size()) < site.group_size
                    ? "every arriving device blocks forever"
                    : "an extra device joins a full group"));
     diag.notes.push_back(

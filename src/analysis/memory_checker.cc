@@ -278,6 +278,92 @@ void CheckMemoryPlan(const Func& func, const exec::MemoryPlan& plan,
 
 namespace {
 
+/** The lowest and highest element offsets a strided nest reaches. */
+struct Reach {
+  int64_t lo = 0;
+  int64_t hi = 0;
+};
+
+/** Widens `reach` by what `loops` adds along operand a (or b). */
+void Extend(const StridedLoops& loops, bool operand_b, Reach& reach) {
+  for (const StridedLoops::Dim& dim : loops.dims) {
+    const int64_t step =
+        (dim.size - 1) * (operand_b ? dim.b_stride : dim.a_stride);
+    (step < 0 ? reach.lo : reach.hi) += step;
+  }
+}
+
+/**
+ * The strided-kernel invariants: the result slot is none of the operand
+ * slots (the kernel reads operands while writing the result), and every
+ * view stays inside the slot it reads or writes.
+ */
+void CheckStridedInstruction(const exec::Instruction& inst,
+                             const exec::MemoryPlan& plan,
+                             const std::string& loc, AnalysisReport& report) {
+  if (inst.result_slots.empty()) return;
+  for (size_t j = 0; j < inst.operand_slots.size(); ++j) {
+    if (inst.operand_slots[j] == inst.result_slots[0]) {
+      report.Error(kExec, loc,
+                   StrCat("result slot ", inst.result_slots[0],
+                          " is also operand ", j,
+                          "'s slot: the strided kernel would overwrite its "
+                          "input while reading it"));
+    }
+  }
+  if (inst.strided == nullptr) return;
+  const exec::StridedKernel& kernel = *inst.strided;
+  using Kind = exec::StridedKernel::Kind;
+  std::vector<Reach> reads;  // per operand
+  Reach writes;
+  int64_t iterations = 0;
+  if (kernel.kind == Kind::kDot) {
+    reads.resize(2);
+    Extend(kernel.batch, false, reads[0]);
+    Extend(kernel.lhs_free, false, reads[0]);
+    Extend(kernel.contract, false, reads[0]);
+    Extend(kernel.batch, true, reads[1]);
+    Extend(kernel.rhs_free, false, reads[1]);
+    Extend(kernel.contract, true, reads[1]);
+    const int64_t outputs = kernel.batch.NumElements() *
+                            kernel.lhs_free.NumElements() *
+                            kernel.rhs_free.NumElements();
+    writes.hi = outputs - 1;
+    iterations = outputs * kernel.contract.NumElements();
+  } else {
+    reads.resize(1);
+    Extend(kernel.loops, false, reads[0]);
+    iterations = kernel.loops.NumElements();
+    if (kernel.kind == Kind::kCopy) {
+      writes.hi = iterations - 1;
+    } else {
+      Extend(kernel.loops, true, writes);
+    }
+  }
+  if (iterations == 0) return;
+  const int num_slots = static_cast<int>(plan.slot_numels.size());
+  auto check = [&](const Reach& reach, int slot, const std::string& what) {
+    if (slot < 0 || slot >= num_slots) return;  // reported as out of bounds
+    const int64_t numel = plan.slot_numels[slot];
+    if (reach.lo < 0 || reach.hi >= numel) {
+      report.Error(kExec, loc,
+                   StrCat("strided view reaches elements [", reach.lo, ", ",
+                          reach.hi, "] of ", what, " slot ", slot,
+                          ", which holds ", numel));
+    }
+  };
+  for (size_t j = 0; j < reads.size(); ++j) {
+    if (j >= inst.operand_slots.size()) {
+      report.Error(kExec, loc,
+                   StrCat("strided kernel reads operand ", j,
+                          " the instruction does not have"));
+      continue;
+    }
+    check(reads[j], inst.operand_slots[j], StrCat("operand ", j, "'s"));
+  }
+  check(writes, inst.result_slots[0], "the result's");
+}
+
 /** Stream-level wiring checks for one instruction list (recurses). */
 void CheckInstructions(const std::vector<exec::Instruction>& instructions,
                        const exec::MemoryPlan& plan, int64_t num_sites,
@@ -344,6 +430,11 @@ void CheckInstructions(const std::vector<exec::Instruction>& instructions,
                        "would move the buffer out from under the result");
         }
       }
+    }
+    if (inst.strided != nullptr || inst.kind == OpKind::kDot ||
+        inst.kind == OpKind::kReduce || inst.kind == OpKind::kTranspose ||
+        inst.kind == OpKind::kBroadcastInDim) {
+      CheckStridedInstruction(inst, plan, loc, report);
     }
     if (inst.collective != nullptr && inst.collective->groups != nullptr) {
       int64_t groups = static_cast<int64_t>(inst.collective->groups->groups.size());

@@ -20,7 +20,11 @@
  *
  * CheckDeviceProgram adds stream-level checks over the compiled
  * instructions (slot bounds, result-size consistency, in-place wiring,
- * rendezvous-site coverage, input/output slot wiring).
+ * rendezvous-site coverage, input/output slot wiring). Dot, reduce,
+ * transpose and broadcast_in_dim run strided kernels that read their
+ * operands while writing the result, so their result slot must differ
+ * from every operand slot, and each strided view must stay inside the
+ * slot it reads or writes.
  *
  * The plan/func split is deliberate: tests hand the checker *forged* plans
  * for a real function and must get typed diagnostics, never a crash.

@@ -267,7 +267,7 @@ class Propagator {
           spec.factors.at(candidate.factor).contracting &&
           ContractingStepWouldApply(op, spec.factors.at(candidate.factor),
                                     candidate.axis)) {
-        switch (DecideRealization(op, spec, candidate)) {
+        switch (DecideRealization(op, candidate)) {
           case Realization::kGather:
             // Stop here: no nest entry means lowering all_gathers the tiled
             // operands and computes the op replicated.
@@ -300,8 +300,7 @@ class Propagator {
   }
 
   // Looks up or makes the realization decision for a contracting step.
-  Realization DecideRealization(Operation& op, const OpShardingSpec& spec,
-                                const Candidate& candidate) {
+  Realization DecideRealization(Operation& op, const Candidate& candidate) {
     auto key = std::make_pair(static_cast<const Operation*>(&op),
                               candidate.axis);
     auto it = ctx_.realizations_.find(key);

@@ -13,21 +13,6 @@ namespace {
 
 std::atomic<int64_t> compiled_program_count{0};
 
-/** Rank-2 dot with no batch dims: lhs[i,k] . rhs[k,j]. */
-bool IsFastDot(const Operation& op) {
-  if (op.kind() != OpKind::kDot) return false;
-  if (op.operand(0)->tensor_type().rank() != 2 ||
-      op.operand(1)->tensor_type().rank() != 2) {
-    return false;
-  }
-  const auto& lc = op.attrs().Get<std::vector<int64_t>>("lhs_contract");
-  const auto& rc = op.attrs().Get<std::vector<int64_t>>("rhs_contract");
-  const auto& lb = op.attrs().Get<std::vector<int64_t>>("lhs_batch");
-  const auto& rb = op.attrs().Get<std::vector<int64_t>>("rhs_batch");
-  return lb.empty() && rb.empty() && lc == std::vector<int64_t>{1} &&
-         rc == std::vector<int64_t>{0};
-}
-
 /** Single-result elementwise op with no regions: fused-chain candidate. */
 bool IsElementwiseOp(const Operation& op) {
   return (IsUnaryElementwise(op.kind()) || IsBinaryElementwise(op.kind())) &&
@@ -106,7 +91,7 @@ Instruction BuildInstruction(const Operation& op, const MemoryPlan& plan) {
     std::vector<Tensor> baked = EvalOp(op, {});
     inst.baked = std::make_shared<const Tensor>(std::move(baked[0]));
   }
-  inst.fast_dot = IsFastDot(op);
+  inst.strided = MakeStridedKernel(op);
   if (op.kind() == OpKind::kPSlice) {
     inst.pslice_dim = op.attrs().Get<int64_t>("dim");
     inst.pslice_count = op.operand(1)->type().range().size();
@@ -296,8 +281,6 @@ StatusOr<std::shared_ptr<const DeviceProgram>> CompileDeviceProgram(
     }
 
     Instruction inst = BuildInstruction(op, plan);
-    const ValuePlan& result0 = plan.values[plan.IndexOf(op.result(0))];
-    (void)result0;
     for (int j = 0; j < op.num_operands(); ++j) {
       const Value* operand = op.operand(j);
       const ValuePlan& ovp = plan.values[plan.IndexOf(operand)];

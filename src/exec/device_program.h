@@ -14,9 +14,12 @@
  *    groups, slice schedules) plus a dense rendezvous-site base index;
  *  - zero-operand ops (constants, iota) are materialized at compile time
  *    into a shared tensor the executor copies from;
- *  - elementwise and rank-2 dot instructions are tagged for fused kernels
- *    that reproduce the reference interpreter's arithmetic exactly
- *    (bit-identical outputs, enforced by differential tests).
+ *  - elementwise instructions are tagged for fused chains, and every dot,
+ *    reduce, transpose and broadcast_in_dim carries a StridedKernel: its
+ *    dims and operand strides, recorded in O(rank) with no per-element
+ *    tables. Both reproduce the reference interpreter's arithmetic exactly
+ *    (bit-identical outputs, enforced by differential tests). Other ops
+ *    run the interpreter's kernels as a generic fallback.
  *
  * The same program runs on every device of the mesh; only arena contents
  * and the device's position within each replica group differ.
@@ -63,8 +66,11 @@ struct Instruction {
   /** Operand index whose slot the result overwrites in place, or -1. */
   int in_place_operand = -1;
 
-  /** Rank-2 dot lhs[i,k] * rhs[k,j] with no batch dims: blocked kernel. */
-  bool fast_dot = false;
+  /**
+   * Non-null for dot, reduce, transpose and broadcast_in_dim: the strided
+   * kernel (kernels.h) that computes the result into its own slot.
+   */
+  std::shared_ptr<const StridedKernel> strided;
 
   /**
    * Non-null when this instruction is a fused run of >= 2 consecutive

@@ -148,10 +148,16 @@ void ExecLocal(const Instruction& inst, Arena& arena) {
     }
     return;
   }
-  if (inst.fast_dot) {
-    const Tensor& lhs = arena[inst.operand_slots[0]];
-    const Tensor& rhs = arena[inst.operand_slots[1]];
-    BlockedDot2dInto(lhs, rhs, EnsureOut(arena, inst));
+  if (inst.strided != nullptr) {
+    // The result slot never holds an operand (the planner releases dying
+    // operands only after placing results), so the kernel may read its
+    // operands while it writes.
+    float* out = EnsureOut(arena, inst).data().data();
+    const float* rhs = inst.operand_slots.size() > 1
+                           ? arena[inst.operand_slots[1]].data().data()
+                           : nullptr;
+    RunStridedKernel(*inst.strided, arena[inst.operand_slots[0]].data().data(),
+                     rhs, out, inst.result_numel);
     return;
   }
   if (inst.kind == OpKind::kReshape || inst.kind == OpKind::kTag) {
@@ -302,8 +308,12 @@ StatusOr<std::vector<Tensor>> ExecuteCompiled(
     for (int64_t d = 0; d < num_devices; ++d) {
       shards[d] = arenas[d][program.output_slots[i]];
     }
-    outputs.push_back(
-        UnshardTensor(shards, spmd.output_shardings[i], spmd.mesh));
+    StatusOr<Tensor> output =
+        UnshardTensorOrError(shards, spmd.output_shardings[i], spmd.mesh);
+    if (!output.ok()) {
+      return InternalError("output ", i, ": ", output.status().message());
+    }
+    outputs.push_back(std::move(output).value());
   }
   if (options.stats != nullptr) {
     options.stats->allocations = run_allocs.load(std::memory_order_relaxed);

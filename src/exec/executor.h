@@ -10,9 +10,13 @@
  *
  * Outputs are bit-identical to the sequential reference walker
  * (ExecBackend::kInterpret): elementwise kernels share the interpreter's
- * scalar functions, the fused rank-2 dot accumulates in double over the
- * same index order, everything else falls back to the interpreter's own
- * EvalOpRef, and collectives fold in group position order.
+ * scalar functions; the strided dot, reduce, transpose and
+ * broadcast_in_dim kernels (kernels.h) write into the result's arena slot
+ * and sum or fold in the walker's order; convolutions, gather,
+ * scatter_add, static_slice and concatenate fall back to the interpreter's
+ * own EvalOpRef; and collectives fold in group position order. Inputs are
+ * sharded and outputs unsharded by block copies on the calling thread; a
+ * replica mismatch in an output is a kInternal Status, not an abort.
  */
 #ifndef PARTIR_EXEC_EXECUTOR_H_
 #define PARTIR_EXEC_EXECUTOR_H_
@@ -38,7 +42,8 @@ int Concurrency(const RunOptions& options, int64_t num_devices);
  * Runs `program` on every device of `spmd.mesh`. `global_inputs` are
  * global tensors (sharded per the module's input shardings; must already
  * be validated); returns global outputs reassembled per the output
- * shardings. Honors RunOptions::num_threads, pool and use_pool.
+ * shardings. Honors RunOptions::num_threads, pool and use_pool. Replicas
+ * of an output that disagree are a kInternal error naming the output.
  */
 StatusOr<std::vector<Tensor>> ExecuteCompiled(
     const SpmdModule& spmd, const DeviceProgram& program,

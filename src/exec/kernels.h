@@ -1,8 +1,8 @@
 /**
  * @file
- * The kernel tier below the compiled executor's fused-kernel dispatch:
- * hand-written loops that cut memory traffic without changing a single
- * bit of output relative to the reference interpreter.
+ * The kernel tier below the compiled executor's dispatch: hand-written
+ * loops that cut memory traffic without changing a single bit of output
+ * relative to the reference interpreter.
  *
  *  - Fused elementwise chains: a run of consecutive elementwise
  *    instructions whose intermediates die immediately executes as ONE loop
@@ -11,23 +11,31 @@
  *    are bit-identical; intermediates never touch the arena at all (the
  *    memory planner's slots for them simply stay unwritten).
  *
- *  - Blocked rank-2 dot: i/j-tiled matmul whose inner loop walks k in
- *    ascending order with a double accumulator per output element — the
- *    exact summation order of the interpreter's EvalDot — but reads rows
- *    of the rhs contiguously, so blocks stay cache-resident.
+ *  - Strided kernels: every dot, reduce, transpose and broadcast_in_dim
+ *    runs as a loop nest over its row-major operand buffers, described by
+ *    a StridedKernel recorded at compile time in O(rank). A dot is a
+ *    batched [B, M, K] x [B, K, N] product summing each output in double
+ *    over K in the walker's order; a reduce folds each output over its
+ *    reduced dims in input row-major order; transpose and broadcast are
+ *    strided copies. Innermost rows are unit-stride wherever the layout
+ *    allows.
  *
- *  - Loop-region helpers: strided chunk copy in/out of a tiled dim, and
+ *  - Loop-region helpers: chunk copy in/out of a tiled dim (CopyBox), and
  *    in-order elementwise accumulation, matching Tensor::Concat /
  *    Tensor::Combine fold order for compiled PartIR:Core loops.
+ *
+ * Convolutions, gather, scatter_add, static_slice and concatenate keep the
+ * generic fallback through the interpreter's own kernels.
  */
 #ifndef PARTIR_EXEC_KERNELS_H_
 #define PARTIR_EXEC_KERNELS_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/interp/tensor.h"
-#include "src/ir/op_kind.h"
+#include "src/ir/ir.h"
 
 namespace partir {
 namespace exec {
@@ -66,12 +74,41 @@ void RunFusedChain(const FusedChain& chain, const float* in,
                    const float* const* externals, float* out, int64_t numel);
 
 /**
- * out[i,j] = sum_k lhs[i,k] * rhs[k,j], blocked over i and j for locality.
- * Each output element accumulates in double over ascending k — the exact
- * summation order of the interpreter's EvalDot — so the blocked kernel is
- * bit-identical to the naive reference loop.
+ * A dot, reduce, transpose or broadcast_in_dim as a strided loop nest over
+ * its row-major operand buffers. Strides are in elements.
  */
-void BlockedDot2dInto(const Tensor& lhs, const Tensor& rhs, Tensor& out);
+struct StridedKernel {
+  enum class Kind { kDot, kCopy, kReduceSum, kReduceMax };
+  Kind kind = Kind::kCopy;
+  /**
+   * kDot: out[b, m, n] = sum over k of lhs[b, m, k] * rhs[b, k, n], the
+   * output row-major over [B, M, N]. `batch` and `contract` step lhs (a)
+   * and rhs (b); `lhs_free` steps lhs and `rhs_free` steps rhs (both as
+   * a). K runs over the contracting dims row-major in lhs_contract order.
+   */
+  StridedLoops batch, lhs_free, rhs_free, contract;
+  /**
+   * kCopy: walks the output row-major; a = the input's stride along each
+   * output dim (0 along dims broadcast_in_dim adds).
+   * kReduceSum / kReduceMax: walks the input row-major; a = the input's
+   * stride, b = the output's (0 along reduced dims).
+   */
+  StridedLoops loops;
+};
+
+/**
+ * The strided kernel of a dot, reduce, transpose or broadcast_in_dim op,
+ * built from its operand shapes and attributes; null for any other op.
+ */
+std::shared_ptr<const StridedKernel> MakeStridedKernel(const Operation& op);
+
+/**
+ * Runs `kernel` into `out` (`out_numel` elements). `rhs` is read by kDot
+ * only. `out` must not alias an operand: the kernels read operands while
+ * writing the result.
+ */
+void RunStridedKernel(const StridedKernel& kernel, const float* lhs,
+                      const float* rhs, float* out, int64_t out_numel);
 
 /**
  * Copies `part` into the `chunk`-th of `count` equal chunks of `out` along

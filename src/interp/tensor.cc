@@ -1,5 +1,6 @@
 #include "src/interp/tensor.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace partir {
@@ -35,12 +36,9 @@ Tensor Tensor::SliceChunk(int64_t dim, int64_t chunk, int64_t count) const {
   std::vector<int64_t> out_dims = dims_;
   out_dims[dim] /= count;
   Tensor out(out_dims);
-  int64_t chunk_size = out_dims[dim];
-  ForEachIndex(out_dims, [&](const std::vector<int64_t>& index) {
-    std::vector<int64_t> src = index;
-    src[dim] += chunk * chunk_size;
-    out.Set(index, Get(src));
-  });
+  std::vector<int64_t> start(dims_.size(), 0);
+  start[dim] = chunk * out_dims[dim];
+  CopyBox(*this, start, out_dims, out, std::vector<int64_t>(dims_.size(), 0));
   return out;
 }
 
@@ -48,17 +46,22 @@ Tensor Tensor::Concat(const std::vector<Tensor>& parts, int64_t dim) {
   PARTIR_CHECK(!parts.empty());
   std::vector<int64_t> out_dims = parts.front().dims();
   int64_t total = 0;
-  for (const Tensor& part : parts) total += part.dim(dim);
+  for (const Tensor& part : parts) {
+    PARTIR_CHECK(part.rank() == static_cast<int>(out_dims.size()))
+        << "concat parts differ in rank";
+    for (int d = 0; d < part.rank(); ++d) {
+      PARTIR_CHECK(d == dim || part.dim(d) == out_dims[d])
+          << "concat parts disagree on dim " << d;
+    }
+    total += part.dim(dim);
+  }
   out_dims[dim] = total;
   Tensor out(out_dims);
-  int64_t offset = 0;
+  const std::vector<int64_t> origin(out_dims.size(), 0);
+  std::vector<int64_t> start = origin;
   for (const Tensor& part : parts) {
-    ForEachIndex(part.dims(), [&](const std::vector<int64_t>& index) {
-      std::vector<int64_t> dst = index;
-      dst[dim] += offset;
-      out.Set(dst, part.Get(index));
-    });
-    offset += part.dim(dim);
+    CopyBox(part, origin, part.dims(), out, start);
+    start[dim] += part.dim(dim);
   }
   return out;
 }
@@ -95,6 +98,65 @@ float Tensor::MaxAbsDiff(const Tensor& a, const Tensor& b) {
     max_diff = std::max(max_diff, std::fabs(a.at(i) - b.at(i)));
   }
   return max_diff;
+}
+
+void StridedLoops::Collapse() {
+  size_t kept = 0;
+  for (size_t d = 0; d < dims.size(); ++d) {
+    const Dim dim = dims[d];
+    if (dim.size == 1) continue;
+    if (kept > 0 && dims[kept - 1].a_stride == dim.a_stride * dim.size &&
+        dims[kept - 1].b_stride == dim.b_stride * dim.size) {
+      Dim& outer = dims[kept - 1];
+      outer = Dim{outer.size * dim.size, dim.a_stride, dim.b_stride};
+      continue;
+    }
+    dims[kept++] = dim;
+  }
+  dims.resize(kept);
+  if (dims.empty()) Add(1, 0, 0);
+}
+
+void CopyBox(const Tensor& src, const std::vector<int64_t>& src_start,
+             const std::vector<int64_t>& extent, Tensor& dst,
+             const std::vector<int64_t>& dst_start) {
+  const int rank = src.rank();
+  PARTIR_CHECK(dst.rank() == rank &&
+               static_cast<int>(extent.size()) == rank &&
+               static_cast<int>(src_start.size()) == rank &&
+               static_cast<int>(dst_start.size()) == rank)
+      << "box rank mismatch";
+  const std::vector<int64_t> src_strides = src.Strides();
+  const std::vector<int64_t> dst_strides = dst.Strides();
+  StridedLoops box;
+  box.dims.reserve(rank);
+  int64_t src_offset = 0, dst_offset = 0;
+  for (int d = 0; d < rank; ++d) {
+    PARTIR_CHECK(extent[d] >= 0 && src_start[d] >= 0 && dst_start[d] >= 0 &&
+                 src_start[d] + extent[d] <= src.dim(d) &&
+                 dst_start[d] + extent[d] <= dst.dim(d))
+        << "box out of bounds on dim " << d;
+    box.Add(extent[d], src_strides[d], dst_strides[d]);
+    src_offset += src_start[d] * src_strides[d];
+    dst_offset += dst_start[d] * dst_strides[d];
+  }
+  if (box.NumElements() == 0) return;
+  box.Collapse();
+  const int64_t row = box.inner().size;
+  const int64_t src_step = box.inner().a_stride;
+  const int64_t dst_step = box.inner().b_stride;
+  const float* from = src.data().data() + src_offset;
+  float* to = dst.data().data() + dst_offset;
+  box.ForEachRow([&](int64_t a, int64_t b) {
+    if (src_step == 1 && dst_step == 1) {
+      std::copy(from + a, from + a + row, to + b);
+      return;
+    }
+    // A box one element wide in its innermost dims: rows are strided.
+    for (int64_t j = 0; j < row; ++j) {
+      to[b + j * dst_step] = from[a + j * src_step];
+    }
+  });
 }
 
 void ForEachIndex(const std::vector<int64_t>& dims,

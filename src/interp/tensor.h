@@ -49,14 +49,17 @@ class Tensor {
   float& at(int64_t flat) { return data_.at(flat); }
   float at(int64_t flat) const { return data_.at(flat); }
 
-  /** Row-major strides. */
-  std::vector<int64_t> Strides() const {
-    std::vector<int64_t> strides(dims_.size(), 1);
-    for (int i = static_cast<int>(dims_.size()) - 2; i >= 0; --i) {
-      strides[i] = strides[i + 1] * dims_[i + 1];
+  /** Row-major strides of a shape. */
+  static std::vector<int64_t> StridesOf(const std::vector<int64_t>& dims) {
+    std::vector<int64_t> strides(dims.size(), 1);
+    for (int i = static_cast<int>(dims.size()) - 2; i >= 0; --i) {
+      strides[i] = strides[i + 1] * dims[i + 1];
     }
     return strides;
   }
+
+  /** Row-major strides. */
+  std::vector<int64_t> Strides() const { return StridesOf(dims_); }
 
   /** Flat offset of a multi-index. */
   int64_t Offset(const std::vector<int64_t>& index) const {
@@ -147,6 +150,77 @@ class AllocationScope {
   bool active_;
   std::atomic<int64_t>* saved_;
 };
+
+/**
+ * A row-major loop nest over up to two strided operands: dim d runs
+ * dims[d].size times, advancing operand a by dims[d].a_stride elements and
+ * operand b by dims[d].b_stride. CopyBox and the compiled executor's
+ * strided kernels walk their buffers through it.
+ */
+struct StridedLoops {
+  struct Dim {
+    int64_t size;
+    int64_t a_stride;
+    int64_t b_stride;
+  };
+  std::vector<Dim> dims;
+
+  /** Appends an inner dim. */
+  void Add(int64_t size, int64_t a_stride, int64_t b_stride = 0) {
+    dims.push_back(Dim{size, a_stride, b_stride});
+  }
+
+  /**
+   * Drops size-1 dims and merges each dim into its outer neighbour when
+   * both operands step contiguously across them. The row-major visiting
+   * order is unchanged; at least one dim remains.
+   */
+  void Collapse();
+
+  int64_t NumElements() const {
+    int64_t n = 1;
+    for (const Dim& dim : dims) n *= dim.size;
+    return n;
+  }
+
+  /** The innermost dim (needs at least one). */
+  const Dim& inner() const { return dims.back(); }
+
+  /**
+   * Calls row(a_offset, b_offset) at the start of every innermost row
+   * (inner().size elements), in row-major order. Needs at least one dim.
+   */
+  template <typename RowFn>
+  void ForEachRow(RowFn&& row) const {
+    const int outer = static_cast<int>(dims.size()) - 1;
+    int64_t rows = 1;
+    for (int d = 0; d < outer; ++d) rows *= dims[d].size;
+    std::vector<int64_t> index(outer, 0);
+    int64_t a = 0, b = 0;
+    for (int64_t r = 0; r < rows; ++r) {
+      row(a, b);
+      for (int d = outer - 1; d >= 0; --d) {
+        a += dims[d].a_stride;
+        b += dims[d].b_stride;
+        if (++index[d] < dims[d].size) break;
+        a -= dims[d].a_stride * dims[d].size;
+        b -= dims[d].b_stride * dims[d].size;
+        index[d] = 0;
+      }
+    }
+  }
+};
+
+/**
+ * Copies the box of `extent` elements starting at `src_start` in `src` to
+ * `dst_start` in `dst`: one contiguous block copy per row of the box, where
+ * a row spans the innermost dims the box covers whole in both tensors. The
+ * data movement under SliceChunk, Concat, sharding, all_slice and the
+ * compiled executor's loop chunks.
+ */
+void CopyBox(const Tensor& src, const std::vector<int64_t>& src_start,
+             const std::vector<int64_t>& extent, Tensor& dst,
+             const std::vector<int64_t>& dst_start);
 
 /** Iterates all multi-indices of a shape, calling fn on each. */
 void ForEachIndex(const std::vector<int64_t>& dims,

@@ -72,10 +72,19 @@ CollectiveGroups MakeCollectiveGroups(const Mesh& mesh,
 
 Tensor ApplySliceSteps(const Tensor& value,
                        const std::vector<SliceStep>& steps) {
-  Tensor out = value;
+  if (steps.empty()) return value;
+  // Successive chunks compose into one box of the input.
+  std::vector<int64_t> start(value.rank(), 0);
+  std::vector<int64_t> extent = value.dims();
   for (const SliceStep& step : steps) {
-    out = out.SliceChunk(step.dim, step.chunk, step.count);
+    PARTIR_CHECK(extent.at(step.dim) % step.count == 0)
+        << "chunk count must divide dim";
+    PARTIR_CHECK(step.chunk >= 0 && step.chunk < step.count);
+    extent[step.dim] /= step.count;
+    start[step.dim] += step.chunk * extent[step.dim];
   }
+  Tensor out(extent);
+  CopyBox(value, start, extent, out, std::vector<int64_t>(value.rank(), 0));
   return out;
 }
 

@@ -69,7 +69,10 @@ struct SliceStep {
   int64_t count;
 };
 
-/** Applies slice steps in order (SliceChunk per step). */
+/**
+ * Applies slice steps in order: the same chunk as SliceChunk per step,
+ * taken as one box copy of `value`.
+ */
 Tensor ApplySliceSteps(const Tensor& value,
                        const std::vector<SliceStep>& steps);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <utility>
 
 #include "src/exec/device_program.h"
@@ -61,6 +62,26 @@ Status ValidateSpmdInputs(const SpmdModule& spmd,
     }
   }
   return Status::Ok();
+}
+
+/**
+ * Where `device`'s shard of shape `local_dims` starts in the global tensor:
+ * its chunk along each sharded dim, first listed axis outermost (matching
+ * all_slice's successive chunking).
+ */
+std::vector<int64_t> ShardStart(const ValueSharding& sharding,
+                                const Mesh& mesh, int64_t device,
+                                const std::vector<int64_t>& local_dims) {
+  std::vector<int64_t> coords = mesh.Coordinates(device);
+  std::vector<int64_t> start(local_dims.size(), 0);
+  for (size_t dim = 0; dim < sharding.axes.size(); ++dim) {
+    int64_t chunk = 0;
+    for (const std::string& axis : sharding.axes[dim]) {
+      chunk = chunk * mesh.AxisSize(axis) + coords[mesh.AxisIndex(axis)];
+    }
+    start[dim] = chunk * local_dims[dim];
+  }
+  return start;
 }
 
 /** Evaluates a device-local (non-collective) op into `env`. */
@@ -123,67 +144,77 @@ void RunSequential(const SpmdModule& spmd, const CollectivePlan& plan,
 
 PerDevice ShardTensor(const Tensor& global, const ValueSharding& sharding,
                       const Mesh& mesh) {
-  int64_t num_devices = mesh.NumDevices();
-  PerDevice shards(num_devices);
-  for (int64_t d = 0; d < num_devices; ++d) {
-    Tensor local = global;
-    std::vector<int64_t> coords = mesh.Coordinates(d);
-    for (size_t dim = 0; dim < sharding.axes.size(); ++dim) {
-      for (const std::string& axis : sharding.axes[dim]) {
-        local = local.SliceChunk(static_cast<int64_t>(dim),
-                                 coords[mesh.AxisIndex(axis)],
-                                 mesh.AxisSize(axis));
-      }
+  std::vector<int64_t> local_dims = global.dims();
+  for (size_t dim = 0; dim < sharding.axes.size(); ++dim) {
+    for (const std::string& axis : sharding.axes[dim]) {
+      PARTIR_CHECK(local_dims.at(dim) % mesh.AxisSize(axis) == 0)
+          << "chunk count must divide dim";
+      local_dims[dim] /= mesh.AxisSize(axis);
     }
-    shards[d] = std::move(local);
+  }
+  if (local_dims == global.dims()) {
+    return PerDevice(mesh.NumDevices(), global);  // replicated
+  }
+  const std::vector<int64_t> origin(local_dims.size(), 0);
+  PerDevice shards(mesh.NumDevices());
+  for (int64_t d = 0; d < mesh.NumDevices(); ++d) {
+    shards[d] = Tensor(local_dims);
+    CopyBox(global, ShardStart(sharding, mesh, d, local_dims), local_dims,
+            shards[d], origin);
   }
   return shards;
 }
 
-Tensor UnshardTensor(const PerDevice& shards, const ValueSharding& sharding,
-                     const Mesh& mesh) {
-  // Reconstruct the global tensor by walking every device's shard into its
-  // global offset; devices holding the same chunk (replicas) must agree.
-  std::vector<int64_t> global_dims = shards[0].dims();
+StatusOr<Tensor> UnshardTensorOrError(const PerDevice& shards,
+                                      const ValueSharding& sharding,
+                                      const Mesh& mesh) {
+  const std::vector<int64_t>& local_dims = shards[0].dims();
+  std::vector<int64_t> global_dims = local_dims;
   for (size_t dim = 0; dim < sharding.axes.size(); ++dim) {
     for (const std::string& axis : sharding.axes[dim]) {
       global_dims[dim] *= mesh.AxisSize(axis);
     }
   }
-  Tensor global(global_dims);
-  Tensor written(global_dims, -1.0f);  // -1 = unwritten sentinel
-  const std::vector<int64_t>& local_dims = shards[0].dims();
+  // Devices whose shards start at the same global offset are replicas of
+  // one block. Each must agree with the previous holder in device order,
+  // and the last holder's block is the one kept.
+  std::map<std::vector<int64_t>, int64_t> holder;
   for (int64_t d = 0; d < mesh.NumDevices(); ++d) {
-    std::vector<int64_t> coords = mesh.Coordinates(d);
-    // Offset of this device's shard in the global tensor (first listed
-    // axis outermost, matching all_slice's successive chunking).
-    std::vector<int64_t> offsets(global_dims.size(), 0);
-    for (size_t dim = 0; dim < sharding.axes.size(); ++dim) {
-      int64_t chunk = 0;
-      for (const std::string& axis : sharding.axes[dim]) {
-        chunk = chunk * mesh.AxisSize(axis) + coords[mesh.AxisIndex(axis)];
-      }
-      offsets[dim] = chunk * local_dims[dim];
+    if (shards[d].dims() != local_dims) {
+      return InternalError("device ", d, " holds a shard of shape [",
+                           StrJoin(shards[d].dims(), ","), "], device 0 [",
+                           StrJoin(local_dims, ","), "]");
     }
-    ForEachIndex(local_dims, [&](const std::vector<int64_t>& index) {
-      std::vector<int64_t> gindex = index;
-      for (size_t i = 0; i < gindex.size(); ++i) gindex[i] += offsets[i];
-      float value = shards[d].Get(index);
-      if (written.Get(gindex) >= 0.0f) {
-        float existing = global.Get(gindex);
-        float tolerance =
-            1e-3f * std::max(1.0f, std::max(std::abs(existing),
-                                            std::abs(value)));
-        bool both_nan = std::isnan(existing) && std::isnan(value);
-        PARTIR_CHECK(both_nan || std::abs(existing - value) <= tolerance)
-            << "replica mismatch at device " << d << ": " << existing
-            << " vs " << value;
+    auto [it, first] =
+        holder.emplace(ShardStart(sharding, mesh, d, local_dims), d);
+    if (first) continue;
+    const float* existing = shards[it->second].data().data();
+    const float* value = shards[d].data().data();
+    for (int64_t k = 0; k < shards[d].size(); ++k) {
+      const float a = existing[k], b = value[k];
+      if (a == b || (std::isnan(a) && std::isnan(b))) continue;
+      const float tolerance =
+          1e-3f * std::max(1.0f, std::max(std::abs(a), std::abs(b)));
+      if (!(std::abs(a - b) <= tolerance)) {
+        return InternalError("replica mismatch at device ", d, ": ", a,
+                             " vs ", b);
       }
-      global.Set(gindex, value);
-      written.Set(gindex, 1.0f);
-    });
+    }
+    it->second = d;
+  }
+  Tensor global(global_dims);
+  const std::vector<int64_t> origin(local_dims.size(), 0);
+  for (const auto& [start, d] : holder) {
+    CopyBox(shards[d], origin, local_dims, global, start);
   }
   return global;
+}
+
+Tensor UnshardTensor(const PerDevice& shards, const ValueSharding& sharding,
+                     const Mesh& mesh) {
+  StatusOr<Tensor> global = UnshardTensorOrError(shards, sharding, mesh);
+  PARTIR_CHECK(global.ok()) << global.status().message();
+  return std::move(global).value();
 }
 
 StatusOr<std::vector<Tensor>> RunSpmd(const SpmdModule& spmd,
@@ -238,8 +269,12 @@ StatusOr<std::vector<Tensor>> RunSpmd(const SpmdModule& spmd,
     for (int64_t d = 0; d < num_devices; ++d) {
       shards[d] = envs[d].at(ret->operand(i));
     }
-    outputs.push_back(
-        UnshardTensor(shards, spmd.output_shardings[i], spmd.mesh));
+    StatusOr<Tensor> output =
+        UnshardTensorOrError(shards, spmd.output_shardings[i], spmd.mesh);
+    if (!output.ok()) {
+      return InternalError("output ", i, ": ", output.status().message());
+    }
+    outputs.push_back(std::move(output).value());
   }
   if (options.stats != nullptr) {
     options.stats->allocations = run_allocs.load(std::memory_order_relaxed);

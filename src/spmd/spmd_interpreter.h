@@ -20,6 +20,11 @@
  * Both evaluate collectives through the same group-ordered functions
  * (collectives.h), so compiled outputs — sequential or threaded — are
  * bit-identical to the walker's; the differential suites check this.
+ *
+ * Both also move global tensors through ShardTensor / UnshardTensorOrError:
+ * one box copy (Tensor's CopyBox) per device shard. Replicas of an output
+ * that disagree make Run return a kInternal Status naming the output, the
+ * device and both values.
  */
 #ifndef PARTIR_SPMD_SPMD_INTERPRETER_H_
 #define PARTIR_SPMD_SPMD_INTERPRETER_H_
@@ -99,14 +104,24 @@ struct RunOptions {
   RunStats* stats = nullptr;
 };
 
-/** Slices a global tensor into per-device shards per the sharding. */
+/**
+ * Slices a global tensor into per-device shards per the sharding: one box
+ * copy per device.
+ */
 PerDevice ShardTensor(const Tensor& global, const ValueSharding& sharding,
                       const Mesh& mesh);
 
 /**
- * Reassembles a global tensor from per-device shards; checks that devices
- * holding the same shard agree (replica consistency).
+ * Reassembles a global tensor from per-device shards, one block copy per
+ * distinct shard. Devices holding the same shard (replicas) must agree:
+ * equal, both NaN, or within 1e-3 relative. The last such device's values
+ * are kept. A mismatch is kInternal, naming the device and both values.
  */
+StatusOr<Tensor> UnshardTensorOrError(const PerDevice& shards,
+                                      const ValueSharding& sharding,
+                                      const Mesh& mesh);
+
+/** UnshardTensorOrError that aborts on a replica mismatch. */
 Tensor UnshardTensor(const PerDevice& shards, const ValueSharding& sharding,
                      const Mesh& mesh);
 
@@ -115,7 +130,8 @@ Tensor UnshardTensor(const PerDevice& shards, const ValueSharding& sharding,
  * tensors; they are sharded per the module's input shardings. Returns the
  * *global* outputs, reassembled per the output shardings. Input arity and
  * shape mismatches (including unshardable global dims) are typed errors,
- * reported before any device thread starts.
+ * reported before any device thread starts; output replicas that disagree
+ * are a kInternal error.
  */
 StatusOr<std::vector<Tensor>> RunSpmd(const SpmdModule& spmd,
                                       const std::vector<Tensor>& global_inputs,

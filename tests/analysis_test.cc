@@ -1,8 +1,9 @@
 // Tests for the static analysis suite (src/analysis/): every example and
 // serving workload must analyze clean, and every injected fault — skewed
 // collective sequence, mismatched signature, rendezvous cycle, forged
-// overlapping-slot plan, illegal in-place adoption, shape skew, structural
-// lint breakage — must come back as a typed diagnostic, never a crash.
+// overlapping-slot plan, illegal in-place adoption, a strided kernel writing
+// an operand's slot or reading past one, shape skew, structural lint
+// breakage — must come back as a typed diagnostic, never a crash.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -198,6 +199,55 @@ TEST(MemoryCheckerTest, IllegalInPlaceIsFlagged) {
   CheckMemoryPlan(main, forged, report);
   EXPECT_GT(report.errors(), 0);
   EXPECT_TRUE(report.HasChecker("memory-plan")) << report.ToString();
+}
+
+// ---- Strided-kernel invariants of the compiled stream ----
+
+// The first top-level dot of `program`, which must have a strided kernel.
+exec::Instruction& FirstDot(exec::DeviceProgram& program) {
+  for (exec::Instruction& inst : program.instructions) {
+    if (inst.kind == OpKind::kDot) {
+      EXPECT_NE(inst.strided, nullptr) << "dot without a strided kernel";
+      return inst;
+    }
+  }
+  ADD_FAILURE() << "chain program has no dot";
+  return program.instructions.front();
+}
+
+TEST(MemoryCheckerTest, StridedResultInAnOperandSlotIsFlagged) {
+  Executable exe = PartitionedChain();
+  exec::DeviceProgram forged = *CompiledProgram(exe);
+  {
+    AnalysisReport report;
+    CheckDeviceProgram(exe.spmd(), forged, report);
+    ASSERT_TRUE(report.clean()) << report.ToString();
+  }
+  // The dot's kernel would read lhs while overwriting it.
+  exec::Instruction& dot = FirstDot(forged);
+  dot.result_slots[0] = dot.operand_slots[0];
+  AnalysisReport report;
+  CheckDeviceProgram(exe.spmd(), forged, report);
+  EXPECT_TRUE(report.HasChecker("exec-program"));
+  EXPECT_NE(report.ToString().find("overwrite its input while reading it"),
+            std::string::npos)
+      << report.ToString();
+}
+
+TEST(MemoryCheckerTest, StridedViewPastItsSlotIsFlagged) {
+  Executable exe = PartitionedChain();
+  exec::DeviceProgram forged = *CompiledProgram(exe);
+  // One more contraction step than the operands hold.
+  exec::Instruction& dot = FirstDot(forged);
+  auto kernel = std::make_shared<exec::StridedKernel>(*dot.strided);
+  kernel->contract.dims.back().size += 1;
+  dot.strided = kernel;
+  AnalysisReport report;
+  CheckDeviceProgram(exe.spmd(), forged, report);
+  EXPECT_GT(report.errors(), 0);
+  EXPECT_NE(report.ToString().find("strided view reaches elements"),
+            std::string::npos)
+      << report.ToString();
 }
 
 // ---- Shape skew ----

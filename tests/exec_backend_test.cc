@@ -1,13 +1,19 @@
 // Differential tests for the compiled executor, the default engine: every
 // example and serving workload runs compiled at num_threads 1, 3 and 0 and
 // must be bit-identical (memcmp) to the sequential reference walker
-// (ExecBackend::kInterpret). Also covers memory_stats(), ad-hoc compilation
-// after module mutation, cache-hit clones, the worker pool, per-Run
-// allocation stats, and a batcher smoke. This suite runs under the
+// (ExecBackend::kInterpret). Single-op cases pin each strided kernel (dot,
+// reduce, transpose, broadcast_in_dim) the same way, a count checks that no
+// such instruction of a real workload falls back, and per-element loops
+// check the block copies under slicing, concatenation and (un)sharding.
+// Also covers memory_stats(), ad-hoc compilation after module mutation,
+// cache-hit clones, the worker pool, per-Run allocation stats, typed
+// replica mismatches, and a batcher smoke. This suite runs under the
 // ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <functional>
 
 #include "src/api/partir.h"
 #include "src/exec/device_program.h"
@@ -537,6 +543,404 @@ TEST(ExecBackendTest, RunStatsCountAllocationsPerRun) {
   walker.stats = &stats;
   ASSERT_TRUE(exe.Run(inputs, walker).ok());
   EXPECT_GT(stats.allocations, first_run);
+}
+
+// ---- Strided kernels, op by op ----
+
+// How a single-op case fills its inputs.
+enum class Fill {
+  kRandom,
+  // A row of -0.0 at the start, then NaN, +inf and -inf spread through.
+  kSpecialValues,
+  // Operand 0 holds +-1e18 pairs that cancel exactly in a sum, so which
+  // small terms survive depends on the summation order; operand 1 is ones.
+  kCancelling,
+};
+
+// One op of a single-op program, with its operand shapes and input fill.
+struct SingleOpCase {
+  std::string label;
+  std::vector<std::vector<int64_t>> operands;
+  std::function<Value*(OpBuilder&, const std::vector<Value*>&)> build;
+  Fill fill = Fill::kRandom;
+};
+
+Tensor CaseInput(const std::vector<int64_t>& dims, size_t operand,
+                 Fill fill) {
+  Tensor t = Tensor::Random(dims, 80 + operand);
+  if (fill == Fill::kSpecialValues) {
+    const int64_t row = dims.empty() ? 1 : dims.back();
+    for (int64_t k = 0; k < row && k < t.size(); ++k) t.at(k) = -0.0f;
+    const float specials[] = {std::nanf(""), INFINITY, -INFINITY};
+    for (int64_t k = row, s = 0; k < t.size(); k += 7, ++s) {
+      t.at(k) = specials[s % 3];
+    }
+  } else if (fill == Fill::kCancelling) {
+    for (int64_t k = 0; k < t.size(); ++k) {
+      if (operand == 1) {
+        t.at(k) = 1.0f;
+      } else if (k % 6 == 1 || k % 6 == 4) {
+        t.at(k) = k % 6 == 1 ? 1e18f : -1e18f;
+      }
+    }
+  }
+  return t;
+}
+
+// Runs each case as a hand-built device-local module (so no pass folds the
+// op away), replicated on two devices, compiled at num_threads 1 and 0 and
+// memcmp'd against the walker; the op must have taken a strided kernel.
+void ExpectSingleOpsAgree(const std::vector<SingleOpCase>& cases) {
+  for (const SingleOpCase& c : cases) {
+    SCOPED_TRACE(c.label);
+    SpmdModule spmd;
+    spmd.module = std::make_unique<Module>();
+    spmd.mesh = Mesh({{"B", 2}});
+    Func* func = spmd.module->AddFunc("main");
+    std::vector<Value*> args;
+    for (size_t i = 0; i < c.operands.size(); ++i) {
+      args.push_back(func->body().AddArg(TensorType(c.operands[i]),
+                                         "x" + std::to_string(i)));
+      spmd.input_shardings.push_back(
+          ValueSharding{AxesPerDim(c.operands[i].size())});
+    }
+    OpBuilder builder(&func->body());
+    Value* result = c.build(builder, args);
+    builder.Return({result});
+    spmd.output_shardings.push_back(
+        ValueSharding{AxesPerDim(result->tensor_type().rank())});
+
+    std::shared_ptr<const exec::DeviceProgram> program =
+        exec::CompileDeviceProgram(spmd).value();
+    int strided = 0;
+    for (const exec::Instruction& inst : program->instructions) {
+      if (inst.strided != nullptr) ++strided;
+    }
+    EXPECT_EQ(strided, 1) << "the op did not run a strided kernel";
+    std::vector<Tensor> inputs;
+    for (size_t i = 0; i < c.operands.size(); ++i) {
+      inputs.push_back(CaseInput(c.operands[i], i, c.fill));
+    }
+    std::vector<Tensor> want = RunSpmd(spmd, inputs, Walker()).value();
+    for (int num_threads : {1, 0}) {
+      RunOptions compiled;
+      compiled.num_threads = num_threads;
+      ExpectBitIdentical(want, RunSpmd(spmd, inputs, compiled).value(),
+                         c.label + " (threads=" +
+                             std::to_string(num_threads) + ")");
+    }
+  }
+}
+
+SingleOpCase DotCase(std::string label, std::vector<int64_t> lhs,
+                     std::vector<int64_t> rhs, std::vector<int64_t> lc,
+                     std::vector<int64_t> rc, std::vector<int64_t> lb = {},
+                     std::vector<int64_t> rb = {}) {
+  return {std::move(label),
+          {std::move(lhs), std::move(rhs)},
+          [=](OpBuilder& b, const std::vector<Value*>& x) {
+            return b.Dot(x[0], x[1], lc, rc, lb, rb);
+          }};
+}
+
+SingleOpCase Cancelling(SingleOpCase c) {
+  c.label += ", cancelling";
+  c.fill = Fill::kCancelling;
+  return c;
+}
+
+TEST(ExecBackendTest, StridedDotsMatchTheWalker) {
+  const SingleOpCase out_of_order = DotCase(
+      "contract out of order", {3, 4, 5}, {5, 3, 6}, {2, 0}, {0, 1});
+  const SingleOpCase two_batch = DotCase(
+      "two batch dims", {2, 3, 4, 5}, {2, 3, 5, 6}, {3}, {2}, {0, 1},
+      {0, 1});
+  const SingleOpCase matmul = DotCase("matmul", {9, 13}, {13, 70}, {1}, {0});
+  ExpectSingleOpsAgree({
+      matmul,
+      two_batch,
+      out_of_order,
+      Cancelling(matmul),
+      Cancelling(two_batch),
+      Cancelling(out_of_order),
+      DotCase("inner batch dim", {3, 2, 4}, {4, 2, 5}, {2}, {0}, {1}, {1}),
+      DotCase("rhs free dim outermost", {4, 5}, {6, 5}, {1}, {1}),
+      DotCase("rhs free dims split", {4, 5}, {2, 5, 3}, {1}, {1}),
+      DotCase("batched transposed rhs", {2, 8, 4}, {2, 9, 4}, {2}, {2}, {0},
+              {0}),
+      DotCase("size-1 result", {1, 7}, {7, 1}, {1}, {0}),
+      DotCase("rank-0 result", {7}, {7}, {0}, {0}),
+      DotCase("k = 1", {4, 1}, {1, 5}, {1}, {0}),
+  });
+}
+
+TEST(ExecBackendTest, StridedReducesMatchTheWalker) {
+  std::vector<SingleOpCase> cases;
+  for (const char* reduction : {"sum", "max"}) {
+    for (const std::vector<int64_t>& dims :
+         std::vector<std::vector<int64_t>>{{0}, {1}, {2}, {0, 2}, {0, 1, 2}}) {
+      SingleOpCase c{std::string(reduction) + " over [" +
+                         StrJoin(dims, ",") + "]",
+                     {{3, 4, 5}},
+                     [=](OpBuilder& b, const std::vector<Value*>& x) {
+                       return b.Reduce(x[0], dims, reduction);
+                     },
+                     Fill::kSpecialValues};
+      cases.push_back(c);
+      cases.push_back(Cancelling(c));
+    }
+  }
+  ExpectSingleOpsAgree(cases);
+}
+
+TEST(ExecBackendTest, StridedTransposesMatchTheWalker) {
+  std::vector<SingleOpCase> cases;
+  for (const std::vector<int64_t>& perm : std::vector<std::vector<int64_t>>{
+           {0, 1, 2}, {2, 1, 0}, {1, 0, 2}, {0, 2, 1}, {2, 0, 1}}) {
+    cases.push_back({"perm [" + StrJoin(perm, ",") + "]",
+                     {{2, 3, 4}},
+                     [=](OpBuilder& b, const std::vector<Value*>& x) {
+                       return b.Transpose(x[0], perm);
+                     }});
+  }
+  cases.push_back({"2-D", {{5, 7}},
+                   [](OpBuilder& b, const std::vector<Value*>& x) {
+                     return b.Transpose(x[0], {1, 0});
+                   }});
+  ExpectSingleOpsAgree(cases);
+}
+
+TEST(ExecBackendTest, StridedBroadcastsMatchTheWalker) {
+  struct Broadcast {
+    std::string label;
+    std::vector<int64_t> in, out, dims;
+  };
+  std::vector<SingleOpCase> cases;
+  for (const Broadcast& bc : std::vector<Broadcast>{
+           {"leading", {3, 4}, {2, 3, 4}, {1, 2}},
+           {"middle", {3, 4}, {3, 2, 4}, {0, 2}},
+           {"trailing", {3, 4}, {3, 4, 2}, {0, 1}},
+           {"scalar", {}, {2, 3}, {}},
+           {"both sides", {4}, {3, 4, 5}, {1}}}) {
+    cases.push_back({bc.label,
+                     {bc.in},
+                     [=](OpBuilder& b, const std::vector<Value*>& x) {
+                       return b.BroadcastInDim(x[0], bc.out, bc.dims);
+                     }});
+  }
+  ExpectSingleOpsAgree(cases);
+}
+
+// ---- Block-copy data movement against per-element loops ----
+
+// Where `device`'s shard starts: each sharded dim's chunk index, first
+// listed axis outermost.
+std::vector<int64_t> OracleShardStart(const ValueSharding& sharding,
+                                      const Mesh& mesh, int64_t device,
+                                      const std::vector<int64_t>& local) {
+  std::vector<int64_t> coords = mesh.Coordinates(device);
+  std::vector<int64_t> start(local.size(), 0);
+  for (size_t dim = 0; dim < sharding.axes.size(); ++dim) {
+    int64_t chunk = 0;
+    for (const std::string& axis : sharding.axes[dim]) {
+      chunk = chunk * mesh.AxisSize(axis) + coords[mesh.AxisIndex(axis)];
+    }
+    start[dim] = chunk * local[dim];
+  }
+  return start;
+}
+
+// Every multi-index of `dims`, row-major.
+std::vector<std::vector<int64_t>> AllIndices(const std::vector<int64_t>& dims) {
+  std::vector<std::vector<int64_t>> all;
+  ForEachIndex(dims, [&](const std::vector<int64_t>& i) { all.push_back(i); });
+  return all;
+}
+
+std::vector<int64_t> Plus(std::vector<int64_t> a,
+                          const std::vector<int64_t>& b) {
+  for (size_t i = 0; i < a.size(); ++i) a[i] += b[i];
+  return a;
+}
+
+TEST(BoxCopyTest, SliceChunkAndConcatMatchPerElementLoops) {
+  const Tensor x = Tensor::Random({3, 10, 7}, 90);
+  for (int64_t dim = 0; dim < 3; ++dim) {
+    const int64_t count = x.dim(dim) == 10 ? 5 : x.dim(dim);
+    std::vector<Tensor> chunks;
+    for (int64_t c = 0; c < count; ++c) {
+      Tensor chunk = x.SliceChunk(dim, c, count);
+      std::vector<int64_t> offset(3, 0);
+      offset[dim] = c * chunk.dim(dim);
+      for (const auto& i : AllIndices(chunk.dims())) {
+        ASSERT_EQ(chunk.Get(i), x.Get(Plus(i, offset)))
+            << "dim " << dim << " chunk " << c;
+      }
+      chunks.push_back(std::move(chunk));
+    }
+    // Uneven parts: the first chunk twice, then the rest.
+    chunks.insert(chunks.begin(), chunks.front());
+    Tensor joined = Tensor::Concat(chunks, dim);
+    std::vector<int64_t> offset(3, 0);
+    for (const Tensor& part : chunks) {
+      for (const auto& i : AllIndices(part.dims())) {
+        ASSERT_EQ(joined.Get(Plus(i, offset)), part.Get(i)) << "dim " << dim;
+      }
+      offset[dim] += part.dim(dim);
+    }
+    EXPECT_EQ(offset[dim], joined.dim(dim));
+  }
+}
+
+TEST(BoxCopyTest, ConcatRejectsPartsThatDisagreeOffTheConcatDim) {
+  EXPECT_DEATH(Tensor::Concat({Tensor({2, 3}), Tensor({2, 4})}, 0),
+               "disagree on dim 1");
+}
+
+TEST(BoxCopyTest, ShardAndUnshardMatchPerElementLoops) {
+  const Mesh mesh({{"x", 2}, {"y", 3}, {"z", 2}});
+  struct Case {
+    std::vector<int64_t> dims;
+    AxesPerDim axes;
+  };
+  for (const Case& c : std::vector<Case>{
+           {{12, 5, 6}, {{"x", "y"}, {}, {"z"}}},
+           {{12, 5, 6}, {{"y", "x"}, {}, {"z"}}},
+           {{3, 6, 7}, {{}, {"x", "y"}, {}}},
+           {{3, 6, 7}, {{}, {"y", "x"}, {}}},
+           {{5, 4, 9}, {{}, {"z", "x"}, {"y"}}},
+           {{7, 3}, {{}, {}}},
+       }) {
+    ValueSharding sharding{c.axes};
+    SCOPED_TRACE(sharding.ToString());
+    const Tensor global = Tensor::Random(c.dims, 91);
+    PerDevice shards = ShardTensor(global, sharding, mesh);
+    ASSERT_EQ(static_cast<int64_t>(shards.size()), mesh.NumDevices());
+    std::vector<int64_t> local = c.dims;
+    for (size_t dim = 0; dim < c.axes.size(); ++dim) {
+      for (const std::string& axis : c.axes[dim]) {
+        local[dim] /= mesh.AxisSize(axis);
+      }
+    }
+    for (int64_t d = 0; d < mesh.NumDevices(); ++d) {
+      ASSERT_EQ(shards[d].dims(), local);
+      std::vector<int64_t> start = OracleShardStart(sharding, mesh, d, local);
+      for (const auto& i : AllIndices(local)) {
+        ASSERT_EQ(shards[d].Get(i), global.Get(Plus(i, start)))
+            << "device " << d;
+      }
+    }
+    // Reassembly: every element comes from a device holding its block.
+    Tensor back = UnshardTensor(shards, sharding, mesh);
+    ASSERT_EQ(back.dims(), global.dims());
+    for (int64_t d = 0; d < mesh.NumDevices(); ++d) {
+      std::vector<int64_t> start = OracleShardStart(sharding, mesh, d, local);
+      for (const auto& i : AllIndices(local)) {
+        ASSERT_EQ(back.Get(Plus(i, start)), shards[d].Get(i))
+            << "device " << d;
+      }
+    }
+  }
+}
+
+TEST(BoxCopyTest, UnshardKeepsTheLastOfAgreeingReplicas) {
+  // Replicas within the 1e-3 tolerance agree; the last device's block is
+  // the one kept.
+  const Mesh mesh({{"a", 3}});
+  const ValueSharding replicated{AxesPerDim{{}, {}}};
+  PerDevice shards = {Tensor({1, 2}, {1.0f, 2.0f}),
+                      Tensor({1, 2}, {1.0001f, 2.0f}),
+                      Tensor({1, 2}, {1.0002f, 2.0001f})};
+  Tensor global = UnshardTensor(shards, replicated, mesh);
+  EXPECT_EQ(global.data(), shards[2].data());
+}
+
+// ---- Every contraction, reduction and layout op on a strided kernel ----
+
+// (instructions of the strided kinds, those carrying a strided kernel),
+// loop bodies included.
+std::pair<int, int> CountStrided(
+    const std::vector<exec::Instruction>& instructions) {
+  std::pair<int, int> counts{0, 0};
+  for (const exec::Instruction& inst : instructions) {
+    if (inst.kind == OpKind::kDot || inst.kind == OpKind::kReduce ||
+        inst.kind == OpKind::kTranspose ||
+        inst.kind == OpKind::kBroadcastInDim) {
+      ++counts.first;
+      if (inst.strided != nullptr) ++counts.second;
+    }
+    if (inst.loop != nullptr) {
+      std::pair<int, int> body = CountStrided(inst.loop->body);
+      counts.first += body.first;
+      counts.second += body.second;
+    }
+  }
+  return counts;
+}
+
+TEST(ExecBackendTest, EveryDotReduceTransposeAndBroadcastIsStrided) {
+  // The benchmark's training step: 2-layer BP+MP+Z3 on {batch:2, model:2}.
+  TransformerConfig config;
+  config.num_layers = 2;
+  config.d_model = 64;
+  config.num_heads = 8;
+  config.head_dim = 8;
+  config.ffw_size = 128;
+  config.vocab = 128;
+  config.batch = 4;
+  config.seq = 8;
+  Program train = Program::Capture([&](Module& module) {
+    return BuildTransformerTrainingStep(module, config);
+  });
+  std::vector<std::pair<std::string, Executable>> programs;
+  programs.emplace_back(
+      "train_step", train
+                        .Partition(schedules::TransformerBPMPZ3(),
+                                   Mesh({{"batch", 2}, {"model", 2}}))
+                        .value());
+  for (const ServeWorkload& workload : AllServeWorkloads()) {
+    if (workload.name != "transformer_infer" && workload.name != "attention") {
+      continue;
+    }
+    Program program = Program::Capture(workload.build, 8);
+    programs.emplace_back(
+        workload.name,
+        program.Partition(workload.schedule, workload.mesh).value());
+  }
+  ASSERT_EQ(programs.size(), 3u);
+  for (const auto& [name, exe] : programs) {
+    ASSERT_NE(exe.spmd().exec_program, nullptr) << name;
+    auto [ops, strided] =
+        CountStrided(exe.spmd().exec_program->instructions);
+    EXPECT_GT(ops, 0) << name;
+    EXPECT_EQ(strided, ops) << name << ": " << ops - strided
+                            << " instruction(s) on the generic fallback";
+  }
+}
+
+// ---- Replica mismatch is a typed error ----
+
+TEST(ExecBackendTest, ReplicaMismatchIsAStatusOnBothBackends) {
+  Program program = BuildChainProgram(16, 8, 8);
+  Mesh mesh({{"B", 4}});
+  Executable exe =
+      program.Partition({ManualPartition{"BP", {{"x", 0}}, "B"}}, mesh)
+          .value();
+  // The output is sharded over B; claiming it is replicated makes the
+  // four devices' different rows replicas that disagree.
+  exe.mutable_spmd().output_shardings[0] = ValueSharding{AxesPerDim{{}, {}}};
+  std::vector<Tensor> inputs = program.RandomInputs(68);
+  RunOptions sequential;
+  sequential.num_threads = 1;
+  for (const RunOptions& options : {Walker(), sequential, RunOptions{}}) {
+    StatusOr<std::vector<Tensor>> outputs = exe.Run(inputs, options);
+    ASSERT_FALSE(outputs.ok());
+    EXPECT_EQ(outputs.status().code(), StatusCode::kInternal);
+    EXPECT_NE(outputs.status().message().find(
+                  "output 0: replica mismatch at device 1: "),
+              std::string::npos)
+        << outputs.status().ToString();
+  }
 }
 
 // ---- Batcher smoke on the compiled executor ----
