@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
   for (int producers : {1, 4, 8}) {
     for (int64_t max_batch : {int64_t{1}, int64_t{2}, int64_t{4},
                               int64_t{8}}) {
-      Config config{max_batch, producers, kRequests};
+      Config config{max_batch, producers, kRequests, RunOptions{}};
       Result result = RunConfig(workload, harness, config);
       if (producers == 8 && max_batch == 1) unbatched_rps =
           result.throughput_rps;

@@ -33,42 +33,37 @@ bool PlanIndexesModule(const SpmdModule& spmd, const exec::MemoryPlan& plan) {
 
 }  // namespace
 
-AnalysisReport AnalyzeSpmd(const SpmdModule& spmd,
-                           const AnalysisOptions& options) {
+AnalysisReport AnalyzeSpmd(const SpmdModule& spmd) {
   AnalysisReport report;
   if (spmd.module == nullptr) {
     report.Error("ir-lint", "", "SPMD module holds no IR");
     return report;
   }
-  if (options.lint) {
-    LintModule(*spmd.module, &spmd.mesh, report);
-    if (report.errors() > 0) {
-      report.Note("ir-lint", "",
-                  "structural lint errors: the shape, collective and "
-                  "memory checkers were skipped");
+  LintModule(*spmd.module, &spmd.mesh, report);
+  if (report.errors() > 0) {
+    report.Note("ir-lint", "",
+                "structural lint errors: the shape, collective and "
+                "memory checkers were skipped");
+    return report;
+  }
+  CheckShapes(spmd, report);
+  CheckCollectives(spmd, report);
+  std::shared_ptr<const exec::DeviceProgram> program = spmd.exec_program;
+  if (program != nullptr && !PlanIndexesModule(spmd, program->plan)) {
+    program = nullptr;  // another clone's program: recompile to verify
+  }
+  if (program == nullptr) {
+    StatusOr<std::shared_ptr<const exec::DeviceProgram>> compiled =
+        exec::CompileDeviceProgram(spmd);
+    if (!compiled.ok()) {
+      report.Error("exec-program", "",
+                   StrCat("device program does not compile: ",
+                          compiled.status().message()));
       return report;
     }
+    program = std::move(compiled).value();
   }
-  if (options.shapes) CheckShapes(spmd, report);
-  if (options.collectives) CheckCollectives(spmd, report);
-  if (options.memory) {
-    std::shared_ptr<const exec::DeviceProgram> program = spmd.exec_program;
-    if (program != nullptr && !PlanIndexesModule(spmd, program->plan)) {
-      program = nullptr;  // another clone's program: recompile to verify
-    }
-    if (program == nullptr) {
-      StatusOr<std::shared_ptr<const exec::DeviceProgram>> compiled =
-          exec::CompileDeviceProgram(spmd);
-      if (!compiled.ok()) {
-        report.Error("exec-program", "",
-                     StrCat("device program does not compile: ",
-                            compiled.status().message()));
-        return report;
-      }
-      program = std::move(compiled).value();
-    }
-    CheckDeviceProgram(spmd, *program, report);
-  }
+  CheckDeviceProgram(spmd, *program, report);
   return report;
 }
 

@@ -18,14 +18,6 @@
 namespace partir {
 namespace analysis {
 
-/** Which checkers AnalyzeSpmd runs (all by default). */
-struct AnalysisOptions {
-  bool lint = true;
-  bool shapes = true;
-  bool collectives = true;
-  bool memory = true;
-};
-
 /**
  * Runs the full suite over a lowered module: IR lint first (structural
  * errors there make the other checkers meaningless — they are skipped with
@@ -34,8 +26,7 @@ struct AnalysisOptions {
  * ad hoc when absent; a compile failure is itself a diagnostic). Never
  * aborts on malformed input.
  */
-AnalysisReport AnalyzeSpmd(const SpmdModule& spmd,
-                           const AnalysisOptions& options = {});
+AnalysisReport AnalyzeSpmd(const SpmdModule& spmd);
 
 /** Lints a traced (pre-partition, mesh-less) module. */
 AnalysisReport AnalyzeModule(const Module& module);

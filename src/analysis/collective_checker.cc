@@ -53,18 +53,6 @@ std::vector<DeviceTrace> ExtractCollectiveTraces(const Module& module,
   int index = 0;
   for (const auto& op : main->body().ops()) {
     const int i = index++;
-    // Collectives nested in loop regions are rejected by the device
-    // compiler; surface the same restriction statically.
-    for (int r = 0; r < op->num_regions(); ++r) {
-      WalkOps(op->region(r).block(), [&](const Operation& inner) {
-        if (IsCollectiveKind(inner.kind())) {
-          report.Error(kMismatch, OpLocation(i, *op),
-                       StrCat("collective ", OpKindName(inner.kind()),
-                              " inside a loop region: devices would "
-                              "rendezvous a data-dependent number of times"));
-        }
-      });
-    }
     if (!IsCollectiveKind(op->kind())) continue;
     if (op->kind() == OpKind::kAllSlice) continue;  // device-local
 
@@ -123,14 +111,6 @@ std::vector<DeviceTrace> ExtractCollectiveTraces(
     const exec::Instruction& inst = program.instructions[i];
     std::string location =
         StrCat("instruction ", i, " (", OpKindName(inst.kind), ")");
-    if (inst.loop != nullptr) {
-      for (const exec::Instruction& body : inst.loop->body) {
-        if (body.collective != nullptr) {
-          report.Error(kMismatch, location,
-                       "collective instruction inside a compiled loop body");
-        }
-      }
-    }
     if (inst.collective == nullptr || inst.collective->groups == nullptr) {
       continue;  // non-collective or device-local all_slice
     }

@@ -22,22 +22,12 @@ Liveness ComputeLiveness(const Block& block) {
     for (int r = 0; r < op.num_results(); ++r) add(op.result(r), i);
   }
 
-  // A read at index i is either a direct operand or a block-owned value
-  // referenced anywhere inside the op's nested regions (the planner's
-  // CollectReads): the region op keeps its free values live while it runs.
-  auto mark = [&](const Value* value, int i) {
-    auto it = live.index.find(value);
-    if (it == live.index.end()) return;  // not owned by this block
-    LiveInterval& interval = live.intervals[it->second];
-    if (i > interval.last_use) interval.last_use = i;
-  };
   for (int i = 0; i < live.num_instructions; ++i) {
-    const Operation& op = *block.ops()[i];
-    for (const Value* operand : op.operands()) mark(operand, i);
-    for (int r = 0; r < op.num_regions(); ++r) {
-      WalkOps(op.region(r).block(), [&](const Operation& inner) {
-        for (const Value* operand : inner.operands()) mark(operand, i);
-      });
+    for (const Value* operand : block.ops()[i]->operands()) {
+      auto it = live.index.find(operand);
+      if (it == live.index.end()) continue;  // not owned by this block
+      LiveInterval& interval = live.intervals[it->second];
+      if (i > interval.last_use) interval.last_use = i;
     }
   }
 

@@ -2,17 +2,16 @@
  * @file
  * Reusable dataflow foundations for the static checkers:
  *
- *  - ComputeLiveness: recomputes def/last-use intervals for one block using
- *    the exact conventions of the executor's memory planner (args def=-1,
- *    terminator operands live past the end, region ops extend the liveness
- *    of every outer value referenced inside their bodies). The memory-plan
- *    verifier diffs a compiled plan against this independent recomputation.
+ *  - ComputeLiveness: recomputes def/last-use intervals for one flat block
+ *    using the exact conventions of the executor's memory planner (args
+ *    def=-1, an op reads exactly its operands, terminator operands live
+ *    past the end). The memory-plan verifier diffs a compiled plan against
+ *    this independent recomputation.
  *
  *  - RunForwardDataflow<State>: a forward abstract-interpretation driver
  *    over the linear SSA blocks of this IR. Region bodies are processed
- *    before their enclosing op's transfer runs, so a transfer function can
- *    consult the states of body values (e.g. a loop's yield operands). The
- *    shape checker and the replication lint are instances.
+ *    before their enclosing op's transfer runs. The shape checker and the
+ *    replication lint are instances.
  */
 #ifndef PARTIR_ANALYSIS_DATAFLOW_H_
 #define PARTIR_ANALYSIS_DATAFLOW_H_
@@ -55,21 +54,19 @@ struct Liveness {
 };
 
 /**
- * Recomputes liveness for `block` (a function body terminated by kReturn or
- * a region body terminated by kYield). Only values *owned* by the block
- * (its args and the results of its top-level ops) get intervals; a region
- * op counts as one use, at its own index, of every outer value referenced
- * anywhere inside its bodies — mirroring the planner's CollectReads.
+ * Recomputes liveness for `block`, a flat function body terminated by
+ * kReturn. Only values *owned* by the block (its args and the results of
+ * its ops) get intervals; an op reads exactly its operands, as in the
+ * planner.
  */
 Liveness ComputeLiveness(const Block& block);
 
 /**
  * Forward dataflow driver. Visits ops in program order; for an op with
  * regions the bodies are processed first (their args seeded via `boundary`),
- * then `transfer` runs for the op itself. `transfer` receives the op, the
- * states of its operands (never null; operands defined outside the walked
- * blocks are seeded via `boundary` on first sight), and the full state map
- * accumulated so far (for looking up region-body values). It must return
+ * then `transfer` runs for the op itself. `transfer` receives the op and
+ * the states of its operands (never null; operands defined outside the
+ * walked blocks are seeded via `boundary` on first sight). It must return
  * one state per op result.
  *
  * Blocks here are linear SSA (no branches), so a single pass reaches the
@@ -80,8 +77,7 @@ std::map<const Value*, State> RunForwardDataflow(
     const Block& block,
     const std::function<State(const Value&)>& boundary,
     const std::function<std::vector<State>(
-        const Operation&, const std::vector<const State*>&,
-        const std::map<const Value*, State>&)>& transfer) {
+        const Operation&, const std::vector<const State*>&)>& transfer) {
   std::map<const Value*, State> states;
   std::function<void(const Block&)> walk = [&](const Block& b) {
     for (const auto& arg : b.args()) {
@@ -101,7 +97,7 @@ std::map<const Value*, State> RunForwardDataflow(
         }
         operand_states.push_back(&it->second);
       }
-      std::vector<State> result_states = transfer(*op, operand_states, states);
+      std::vector<State> result_states = transfer(*op, operand_states);
       for (int r = 0; r < op->num_results() &&
                       r < static_cast<int>(result_states.size());
            ++r) {

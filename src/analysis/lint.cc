@@ -312,8 +312,7 @@ void LintRedundantCollectives(const Module& module, const Mesh& mesh,
         func->body(),
         [](const Value&) { return ReplState{}; },  // args: assume sharded
         [&](const Operation& op,
-            const std::vector<const ReplState*>& operands,
-            const std::map<const Value*, ReplState>&) {
+            const std::vector<const ReplState*>& operands) {
           ReplState state;
           if (op.num_operands() == 0) {
             // Constants / iota: every device materializes the same value.

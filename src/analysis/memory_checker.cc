@@ -1,9 +1,7 @@
 #include "src/analysis/memory_checker.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "src/analysis/dataflow.h"
@@ -24,12 +22,9 @@ std::string ValueLoc(const Value* value) {
   return StrCat("value '%", value->name(), "'");
 }
 
-/** One slot occupancy to cross-check: which scope, over which window. */
+/** One slot occupancy to cross-check, over its recomputed window. */
 struct Occupancy {
   const exec::ValuePlan* vp = nullptr;
-  /** 0 = top level; each region block instance gets a unique id. */
-  int block_id = 0;
-  /** Occupied window in the block's own instruction indexing. */
   int start = 0;
   int end = 0;
 };
@@ -92,21 +87,12 @@ void CheckMemoryPlan(const Func& func, const exec::MemoryPlan& plan,
   }
 
   std::vector<Occupancy> occupancies;
-  // Liveness of the block each value belongs to, for in-place validation.
-  std::map<const Value*, const Liveness*> block_live;
-  std::map<const Value*, int> top_index_of;  // region-local -> loop index
-
   for (const LiveInterval& li : top.intervals) {
     const exec::ValuePlan* vp = find_plan(li.value);
     if (vp == nullptr) {
       report.Error(kMemory, ValueLoc(li.value),
                    "missing from the memory plan");
       continue;
-    }
-    block_live[li.value] = &top;
-    if (vp->region_local) {
-      report.Error(kMemory, ValueLoc(li.value),
-                   "top-level value marked region-local");
     }
     if (vp->def != li.def || vp->last_use != li.last_use) {
       report
@@ -118,66 +104,8 @@ void CheckMemoryPlan(const Func& func, const exec::MemoryPlan& plan,
     }
     if (!check_common(li.value, vp)) continue;
     if (li.last_use < li.def) continue;  // never-read arg: freed up front
-    Occupancy occ;
-    occ.vp = vp;
-    occ.block_id = 0;
-    occ.start = li.def;  // recomputed window, not the plan's claim
-    occ.end = li.last_use;
-    occupancies.push_back(occ);
-  }
-
-  // Region blocks: every body value must be region-local, pinned to its
-  // enclosing top-level instruction, and planned against body liveness.
-  std::vector<Liveness> region_liveness;  // stable storage for block_live
-  region_liveness.reserve(16);
-  int next_block_id = 1;
-  std::function<void(const Block&, int)> walk_block = [&](const Block& b,
-                                                          int top_index) {
-    if (b.num_ops() == 0) return;
-    const int block_id = next_block_id++;
-    region_liveness.push_back(ComputeLiveness(b));
-    const Liveness& live = region_liveness.back();
-    for (const LiveInterval& li : live.intervals) {
-      const exec::ValuePlan* vp = find_plan(li.value);
-      if (vp == nullptr) {
-        report.Error(kMemory, ValueLoc(li.value),
-                     "region-local value missing from the memory plan");
-        continue;
-      }
-      block_live[li.value] = &live;
-      top_index_of[li.value] = top_index;
-      if (!vp->region_local) {
-        report.Error(kMemory, ValueLoc(li.value),
-                     "loop-body value not marked region-local");
-      }
-      if (vp->def != top_index || vp->last_use != top_index) {
-        report
-            .Error(kMemory, ValueLoc(li.value),
-                   "region-local value not pinned to its enclosing loop")
-            .notes = {StrCat("plan: [", vp->def, ", ", vp->last_use,
-                             "], enclosing top-level instruction: ",
-                             top_index)};
-      }
-      if (!check_common(li.value, vp)) continue;
-      if (li.last_use < li.def) continue;
-      Occupancy occ;
-      occ.vp = vp;
-      occ.block_id = block_id;
-      occ.start = li.def;
-      occ.end = li.last_use;
-      occupancies.push_back(occ);
-    }
-    for (const auto& op : b.ops()) {
-      for (int r = 0; r < op->num_regions(); ++r) {
-        walk_block(op->region(r).block(), top_index);
-      }
-    }
-  };
-  for (int i = 0; i < top.num_instructions; ++i) {
-    const Operation& op = *body.ops()[i];
-    for (int r = 0; r < op.num_regions(); ++r) {
-      walk_block(op.region(r).block(), i);
-    }
+    // The recomputed window, not the plan's claim.
+    occupancies.push_back(Occupancy{vp, li.def, li.last_use});
   }
 
   if (planned_seen != static_cast<int64_t>(plan.values.size())) {
@@ -192,23 +120,19 @@ void CheckMemoryPlan(const Func& func, const exec::MemoryPlan& plan,
   for (const exec::ValuePlan& vp : plan.values) {
     if (!vp.in_place) continue;
     const Value* value = vp.value;
-    auto live_it = block_live.find(value);
-    if (live_it == block_live.end()) continue;  // already diagnosed
-    const Liveness& live = *live_it->second;
+    const LiveInterval* value_li = top.Find(value);
+    if (value_li == nullptr) continue;  // already diagnosed
     const Operation* def_op = value->def();
     if (def_op == nullptr) {
       report.Error(kMemory, ValueLoc(value),
                    "block argument marked as an in-place result");
       continue;
     }
-    const LiveInterval* value_li = live.Find(value);
     bool legal = false;
     for (const Value* operand : def_op->operands()) {
       const exec::ValuePlan* op_vp = find_plan(operand);
-      const LiveInterval* op_li = live.Find(operand);
-      if (op_vp == nullptr || op_li == nullptr || value_li == nullptr) {
-        continue;
-      }
+      const LiveInterval* op_li = top.Find(operand);
+      if (op_vp == nullptr || op_li == nullptr) continue;
       if (op_vp->slot == vp.slot && op_li->last_use == value_li->def &&
           op_vp->numel == vp.numel) {
         legal = true;
@@ -236,7 +160,6 @@ void CheckMemoryPlan(const Func& func, const exec::MemoryPlan& plan,
     std::vector<Occupancy>& occs = entry.second;
     std::sort(occs.begin(), occs.end(),
               [](const Occupancy& a, const Occupancy& b) {
-                if (a.block_id != b.block_id) return a.block_id < b.block_id;
                 if (a.start != b.start) return a.start < b.start;
                 return a.end < b.end;
               });
@@ -244,21 +167,6 @@ void CheckMemoryPlan(const Func& func, const exec::MemoryPlan& plan,
       for (size_t b = a + 1; b < occs.size(); ++b) {
         const Occupancy& first = occs[a];
         const Occupancy& second = occs[b];
-        if (first.block_id != second.block_id) {
-          // Fresh-slots-per-scope invariant: a body slot reused across
-          // iterations must never alias an outer (or sibling-body) value
-          // that is live across the whole loop.
-          report
-              .Error(kMemory, ValueLoc(second.vp->value),
-                     StrCat("slot ", entry.first,
-                            " is shared across scopes with ",
-                            ValueLoc(first.vp->value)))
-              .notes = {"loop-body slots must be disjoint from every "
-                        "top-level and other-body slot: the body runs (and "
-                        "reuses its slots each iteration) while all outer "
-                        "values are live"};
-          continue;
-        }
         if (second.start > first.end) continue;  // disjoint
         if (second.start == first.end && second.vp->in_place) {
           continue;  // legal in-place handoff at the boundary
@@ -364,17 +272,20 @@ void CheckStridedInstruction(const exec::Instruction& inst,
   check(writes, inst.result_slots[0], "the result's");
 }
 
-/** Stream-level wiring checks for one instruction list (recurses). */
-void CheckInstructions(const std::vector<exec::Instruction>& instructions,
-                       const exec::MemoryPlan& plan, int64_t num_sites,
-                       const std::string& prefix, int64_t* sites_expected,
+/**
+ * Stream-level wiring checks for every instruction, and that their
+ * rendezvous sites add up to the program's.
+ */
+void CheckInstructions(const exec::DeviceProgram& program,
                        AnalysisReport& report) {
+  const exec::MemoryPlan& plan = program.plan;
   const int num_slots = static_cast<int>(plan.slot_numels.size());
   auto slot_ok = [&](int slot) { return slot >= 0 && slot < num_slots; };
-  for (size_t i = 0; i < instructions.size(); ++i) {
-    const exec::Instruction& inst = instructions[i];
+  int64_t sites_expected = 0;
+  for (size_t i = 0; i < program.instructions.size(); ++i) {
+    const exec::Instruction& inst = program.instructions[i];
     std::string loc =
-        StrCat(prefix, "instruction ", i, " (", OpKindName(inst.kind), ")");
+        StrCat("instruction ", i, " (", OpKindName(inst.kind), ")");
     if (inst.operand_dies.size() != inst.operand_slots.size()) {
       report.Error(kExec, loc,
                    StrCat("operand_dies covers ", inst.operand_dies.size(),
@@ -438,28 +349,21 @@ void CheckInstructions(const std::vector<exec::Instruction>& instructions,
     }
     if (inst.collective != nullptr && inst.collective->groups != nullptr) {
       int64_t groups = static_cast<int64_t>(inst.collective->groups->groups.size());
-      if (inst.site_base < 0 || inst.site_base + groups > num_sites) {
+      if (inst.site_base < 0 || inst.site_base + groups > program.num_sites) {
         report.Error(kExec, loc,
                      StrCat("rendezvous sites [", inst.site_base, ", ",
                             inst.site_base + groups,
-                            ") exceed the program's ", num_sites,
+                            ") exceed the program's ", program.num_sites,
                             " site(s)"));
       }
-      if (sites_expected != nullptr) *sites_expected += groups;
+      sites_expected += groups;
     }
-    if (inst.loop != nullptr) {
-      if (inst.loop->trip_count < 1) {
-        report.Error(kExec, loc, StrCat("loop trip count ",
-                                        inst.loop->trip_count, " < 1"));
-      }
-      if (!slot_ok(inst.loop->range_slot) || !slot_ok(inst.loop->yield_slot)) {
-        report.Error(kExec, loc, "loop range/yield slot out of bounds");
-      }
-      // Body collectives are the collective checker's finding; pass null so
-      // nested instructions don't count toward the top-level site total.
-      CheckInstructions(inst.loop->body, plan, num_sites,
-                        StrCat(prefix, i, "."), nullptr, report);
-    }
+  }
+  if (sites_expected != program.num_sites) {
+    report.Error(kExec, "",
+                 StrCat("instructions claim ", sites_expected,
+                        " rendezvous site(s), the program reserves ",
+                        program.num_sites));
   }
 }
 
@@ -507,15 +411,7 @@ void CheckDeviceProgram(const SpmdModule& spmd,
     }
   }
 
-  int64_t sites_expected = 0;
-  CheckInstructions(program.instructions, program.plan, program.num_sites,
-                    "", &sites_expected, report);
-  if (sites_expected != program.num_sites) {
-    report.Error(kExec, "",
-                 StrCat("instructions claim ", sites_expected,
-                        " rendezvous site(s), the program reserves ",
-                        program.num_sites));
-  }
+  CheckInstructions(program, report);
 }
 
 }  // namespace analysis

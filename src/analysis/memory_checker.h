@@ -11,10 +11,6 @@
  *  - no two values whose recomputed live ranges overlap share a slot; two
  *    ranges may *touch* (first's last use == second's def) only through an
  *    in-place handoff;
- *  - slots never cross scopes: a loop body's values get fresh slots,
- *    disjoint from every top-level and sibling/nested-body slot, because
- *    the loop runs while any outer value is live and body slots are reused
- *    across iterations (so body reuse may never cross a live yield);
  *  - in-place adoptions are legal: the result overwrites an operand of its
  *    own instruction that dies exactly there, with equal element count.
  *

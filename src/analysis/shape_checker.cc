@@ -63,8 +63,7 @@ class ShapeDeriver {
    * op kind, malformed attrs — lint's findings — or unknown operands).
    */
   std::optional<std::vector<int64_t>> Derive(
-      const Operation& op, const std::vector<const ShapeState*>& operands,
-      const std::map<const Value*, ShapeState>& states) {
+      const Operation& op, const std::vector<const ShapeState*>& operands) {
     auto in = [&](int i) -> const std::vector<int64_t>* {
       if (i >= static_cast<int>(operands.size()) || !operands[i]->known) {
         return nullptr;
@@ -359,51 +358,6 @@ class ShapeDeriver {
         out[*concat_dim] *= *group;
         return out;
       }
-      case OpKind::kPSlice: {
-        const auto* a = in(0);
-        const int64_t* dim = AttrPtr<int64_t>(op, "dim");
-        if (a == nullptr || dim == nullptr || op.num_operands() < 2 ||
-            !op.operand(1)->type().IsRange() || *dim < 0 ||
-            *dim >= static_cast<int64_t>(a->size())) {
-          return std::nullopt;
-        }
-        int64_t count = op.operand(1)->type().range().size();
-        if (count < 1 || (*a)[*dim] % count != 0) {
-          report_.Error(kShape, Loc(op),
-                        StrCat("dim ", *dim, " of size ", (*a)[*dim],
-                               " is not divisible into ", count,
-                               " chunk(s)"));
-          return std::nullopt;
-        }
-        std::vector<int64_t> out = *a;
-        out[*dim] /= count;
-        return out;
-      }
-      case OpKind::kLoop: {
-        // Result r mirrors yield operand r; tile scales tile_dim by the
-        // trip count.
-        if (op.num_regions() != 1) return std::nullopt;
-        const Block& body = op.region(0).block();
-        if (body.num_ops() == 0 ||
-            body.terminator()->kind() != OpKind::kYield ||
-            body.terminator()->num_operands() < 1 || body.num_args() != 1 ||
-            !body.arg(0)->type().IsRange()) {
-          return std::nullopt;
-        }
-        auto it = states.find(body.terminator()->operand(0));
-        if (it == states.end() || !it->second.known) return std::nullopt;
-        std::vector<int64_t> out = it->second.dims;
-        const std::string* action = AttrPtr<std::string>(op, "action");
-        if (action != nullptr && *action == "tile") {
-          const int64_t* tile_dim = AttrPtr<int64_t>(op, "tile_dim");
-          if (tile_dim == nullptr || *tile_dim < 0 ||
-              *tile_dim >= static_cast<int64_t>(out.size())) {
-            return std::nullopt;
-          }
-          out[*tile_dim] *= body.arg(0)->type().range().size();
-        }
-        return out;
-      }
       default:
         // Constants / iota / conv grads carry their shape in the result
         // type; unknown kinds get no derived opinion.
@@ -530,10 +484,9 @@ void CheckShapes(const SpmdModule& spmd, AnalysisReport& report) {
           return state;
         },
         [&](const Operation& op,
-            const std::vector<const ShapeState*>& operands,
-            const std::map<const Value*, ShapeState>& states) {
+            const std::vector<const ShapeState*>& operands) {
           std::optional<std::vector<int64_t>> derived =
-              deriver.Derive(op, operands, states);
+              deriver.Derive(op, operands);
           std::vector<ShapeState> result_states(op.num_results());
           for (int r = 0; r < op.num_results(); ++r) {
             ShapeState& state = result_states[r];

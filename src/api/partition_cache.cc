@@ -271,7 +271,7 @@ std::string TacticKey(const Tactic& tactic) {
                 StrJoin(automatic.axes, ";", StrKey), "|",
                 options.simulations, ",", options.max_actions, ",",
                 options.max_candidates, ",", DoubleKey(options.exploration),
-                ",", options.seed, ",", DeviceKey(options.device), "}");
+                ",", options.seed, "}");
 }
 
 std::string MeshKey(const Mesh& mesh) {

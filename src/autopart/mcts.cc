@@ -36,6 +36,7 @@ struct SearchShared {
   PartitionContext* root;
   std::vector<std::string> axes;
   AutoOptions options;
+  DeviceSpec device;
   double ideal_seconds = 1e-9;
   int evaluations = 0;
 };
@@ -97,11 +98,11 @@ double Evaluate(SearchShared& shared, const PartitionContext& ctx) {
   ++shared.evaluations;
   SpmdModule spmd = LowerToSpmd(ctx);
   OptimizeSpmd(spmd);
-  SimEstimate estimate = EstimateSpmd(spmd, shared.options.device);
+  SimEstimate estimate = EstimateSpmd(spmd, shared.device);
   double reward =
       shared.ideal_seconds / std::max(estimate.step_seconds, 1e-12);
   reward = std::min(reward, 1.0);
-  if (estimate.peak_memory_bytes > shared.options.device.hbm_bytes) {
+  if (estimate.peak_memory_bytes > shared.device.hbm_bytes) {
     reward *= 0.05;  // does not fit: strongly discouraged
   }
   return reward;
@@ -250,16 +251,17 @@ class Mcts {
 
 AutoResult AutomaticallyPartition(PartitionContext& ctx,
                                   const std::vector<std::string>& axes,
-                                  const AutoOptions& options) {
+                                  const AutoOptions& options,
+                                  const DeviceSpec& device) {
   auto start = std::chrono::steady_clock::now();
-  SearchShared shared{&ctx, axes, options};
+  SearchShared shared{&ctx, axes, options, device};
 
   // Ideal time: the unpartitioned program spread perfectly over all
   // devices reachable through the searched axes.
   {
     SpmdModule unsharded = LowerToSpmd(ctx);
     OptimizeSpmd(unsharded);
-    SimEstimate base = EstimateSpmd(unsharded, options.device);
+    SimEstimate base = EstimateSpmd(unsharded, device);
     double axis_product = 1;
     for (const std::string& axis : axes) {
       axis_product *= static_cast<double>(ctx.mesh().AxisSize(axis));
@@ -278,7 +280,7 @@ AutoResult AutomaticallyPartition(PartitionContext& ctx,
   }
   SpmdModule spmd = LowerToSpmd(ctx);
   OptimizeSpmd(spmd);
-  SimEstimate estimate = EstimateSpmd(spmd, options.device);
+  SimEstimate estimate = EstimateSpmd(spmd, device);
   result.est_step_seconds = estimate.step_seconds;
   result.est_peak_memory = estimate.peak_memory_bytes;
   result.evaluations = shared.evaluations;

@@ -33,7 +33,6 @@ struct AutoOptions {
   int max_candidates = 24;   // action-space cap (largest tensors first)
   double exploration = 1.2;  // UCT constant
   uint64_t seed = 17;
-  DeviceSpec device = Tpu_v3();
 };
 
 /** Result of a search: chosen actions and their estimated step time. */
@@ -47,11 +46,13 @@ struct AutoResult {
 
 /**
  * Runs the search over the given mesh axes and *applies* the best action
- * sequence to `ctx` (TileValue + Propagate per action).
+ * sequence to `ctx` (TileValue + Propagate per action). Candidates are
+ * scored by the simulator on `device`, whose HBM capacity bounds them.
  */
 AutoResult AutomaticallyPartition(PartitionContext& ctx,
                                   const std::vector<std::string>& axes,
-                                  const AutoOptions& options);
+                                  const AutoOptions& options,
+                                  const DeviceSpec& device);
 
 }  // namespace partir
 

@@ -3,6 +3,12 @@
  * One-shot lowering from a device-local SPMD program to a flat instruction
  * stream: the compiled counterpart of the op-walking SPMD interpreter.
  *
+ * A device-local program is flat: local ops and collectives ending in a
+ * return, as the Appendix C lowering emits it. PartIR:Core loop regions
+ * exist only in the printed loop form of a partition, which nothing
+ * lowers or runs; ValidateFlatProgram refuses them, for this compiler and
+ * for the reference walker alike.
+ *
  * A DeviceProgram is compiled once per partitioned module (by the
  * compile-device-programs pipeline pass, or ad hoc on first compiled Run)
  * and then drives every execution:
@@ -41,8 +47,6 @@
 namespace partir {
 namespace exec {
 
-struct LoopInfo;
-
 /** One executable record of the flat stream. */
 struct Instruction {
   OpKind kind;
@@ -80,18 +84,6 @@ struct Instruction {
    */
   std::shared_ptr<const FusedChain> chain;
 
-  /**
-   * Non-null for compiled PartIR:Core loops: the trip-counted sub-program
-   * (body instructions share this program's arena, with per-iteration slot
-   * reuse from the planner).
-   */
-  std::shared_ptr<const LoopInfo> loop;
-
-  /** kPSlice inside a loop body: sliced dim and chunk count (the range
-   *  type's size); the runtime chunk index is the range slot's value. */
-  int64_t pslice_dim = 0;
-  int64_t pslice_count = 0;
-
   /** Zero-operand ops: the value, materialized once at compile time. */
   std::shared_ptr<const Tensor> baked;
 
@@ -103,27 +95,6 @@ struct Instruction {
    * non-collective instructions keep -1.
    */
   int64_t site_base = -1;
-};
-
-/**
- * A compiled PartIR:Core loop: its body as a nested instruction stream
- * over the same arena, plus how iterations combine into the result.
- */
-struct LoopInfo {
-  enum class Action {
-    kAny,   // one iteration, copied to the result
-    kSum,   // element-wise accumulate in iteration order (+)
-    kMax,   // element-wise accumulate in iteration order (max)
-    kTile,  // each iteration fills chunk r of the result along tile_dim
-  };
-  Action action = Action::kAny;
-  int64_t trip_count = 0;
-  int64_t tile_dim = 0;  // kTile only
-  /** Arena slot of the body's range argument (scalar iteration index). */
-  int range_slot = -1;
-  /** Arena slot of the value the body yields each iteration. */
-  int yield_slot = -1;
-  std::vector<Instruction> body;
 };
 
 /** A compiled device-local program: instructions + arena plan. */
@@ -138,17 +109,23 @@ struct DeviceProgram {
   /** Keeps the CollectiveOp records the instructions point into alive. */
   std::shared_ptr<const CollectivePlan> collectives;
   /** Fused-chain instructions / elementwise instructions folded into them
-   *  (including the chain heads), over the whole program incl. bodies. */
+   *  (including the chain heads). */
   int64_t fused_chains = 0;
   int64_t fused_instructions = 0;
 };
 
 /**
+ * Checks that `func` is a flat device-local program: kInvalidArgument
+ * naming the first op that carries a region or is a PartIR:Core loop,
+ * slice or yield. The compiler and the reference walker both call it, so
+ * either engine refuses such a module with the same error.
+ */
+Status ValidateFlatProgram(const Func& func);
+
+/**
  * Compiles `spmd`'s main function into a DeviceProgram. Uses spmd.plan when
  * present (the pipeline's precomputed collective plan), else builds one.
- * PartIR:Core loop regions compile into trip-counted sub-programs
- * (LoopInfo); collectives inside a region, or stray slice/yield ops
- * outside one, are typed errors.
+ * A function that is not flat (ValidateFlatProgram) is a typed error.
  */
 StatusOr<std::shared_ptr<const DeviceProgram>> CompileDeviceProgram(
     const SpmdModule& spmd);

@@ -32,45 +32,6 @@ Tensor& EnsureOut(Arena& arena, const Instruction& inst) {
   return out;
 }
 
-void ExecLocal(const Instruction& inst, Arena& arena);
-
-/**
- * A compiled PartIR:Core loop: runs the body sub-program trip_count times
- * over the same arena and folds the per-iteration yields into the result
- * with the reference interpreter's sequential semantics (any = iteration 0;
- * sum/max = in-order accumulation; tile = chunk r of the tiled dim).
- */
-void RunLoop(const Instruction& inst, Arena& arena) {
-  const LoopInfo& loop = *inst.loop;
-  Tensor& out = EnsureOut(arena, inst);
-  for (int64_t r = 0; r < loop.trip_count; ++r) {
-    // The range argument is a scalar tensor holding the iteration index
-    // (built from data, so it never counts as a fresh allocation).
-    arena[loop.range_slot] =
-        Tensor({}, std::vector<float>{static_cast<float>(r)});
-    for (const Instruction& body_inst : loop.body) ExecLocal(body_inst, arena);
-    const Tensor& yielded = arena[loop.yield_slot];
-    switch (loop.action) {
-      case LoopInfo::Action::kAny:
-        std::copy(yielded.data().begin(), yielded.data().end(),
-                  out.data().begin());
-        return;
-      case LoopInfo::Action::kSum:
-      case LoopInfo::Action::kMax:
-        if (r == 0) {
-          std::copy(yielded.data().begin(), yielded.data().end(),
-                    out.data().begin());
-        } else {
-          AccumulateInto(yielded, loop.action == LoopInfo::Action::kMax, out);
-        }
-        break;
-      case LoopInfo::Action::kTile:
-        PlaceChunkInto(yielded, loop.tile_dim, r, loop.trip_count, out);
-        break;
-    }
-  }
-}
-
 /** Executes one non-collective instruction on one device's arena. */
 void ExecLocal(const Instruction& inst, Arena& arena) {
   if (inst.chain != nullptr) {
@@ -98,18 +59,6 @@ void ExecLocal(const Instruction& inst, Arena& arena) {
       externals = external_heap.data();
     }
     RunFusedChain(chain, in, externals, out.data().data(), inst.result_numel);
-    return;
-  }
-  if (inst.loop != nullptr) {
-    RunLoop(inst, arena);
-    return;
-  }
-  if (inst.kind == OpKind::kPSlice) {
-    const Tensor& in = arena[inst.operand_slots[0]];
-    const int64_t chunk =
-        static_cast<int64_t>(arena[inst.operand_slots[1]].data()[0]);
-    SliceChunkInto(in, inst.pslice_dim, chunk, inst.pslice_count,
-                   EnsureOut(arena, inst));
     return;
   }
   if (inst.baked != nullptr) {

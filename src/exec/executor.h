@@ -2,11 +2,13 @@
  * @file
  * The execution engine: runs a compiled DeviceProgram over the mesh with
  * slot-indexed arenas instead of Value->Tensor maps, planner-driven buffer
- * reuse and in-place elementwise updates. A Run walks the devices
- * sequentially, or gives each device its own thread (on the executable's
- * persistent worker pool when it has one) meeting at rendezvous
- * collectives (src/spmd/rendezvous.h). This is the only place threading,
- * the pool, rendezvous and arrival-order folding live.
+ * reuse and in-place elementwise updates. The program is flat (one
+ * straight-line instruction stream; device_program.h refuses loop
+ * regions), so each device runs every instruction exactly once. A Run
+ * walks the devices sequentially, or gives each device its own thread (on
+ * the executable's persistent worker pool when it has one) meeting at
+ * rendezvous collectives (src/spmd/rendezvous.h). This is the only place
+ * threading, the pool, rendezvous and arrival-order folding live.
  *
  * Outputs are bit-identical to the sequential reference walker
  * (ExecBackend::kInterpret): elementwise kernels share the interpreter's

@@ -297,34 +297,5 @@ void RunStridedKernel(const StridedKernel& kernel, const float* lhs,
   }
 }
 
-void PlaceChunkInto(const Tensor& part, int64_t dim, int64_t chunk,
-                    int64_t count, Tensor& out) {
-  PARTIR_CHECK(out.size() == part.size() * count) << "tile chunk mismatch";
-  std::vector<int64_t> start(part.rank(), 0);
-  start[dim] = chunk * part.dim(dim);
-  CopyBox(part, std::vector<int64_t>(part.rank(), 0), part.dims(), out,
-          start);
-}
-
-void SliceChunkInto(const Tensor& in, int64_t dim, int64_t chunk,
-                    int64_t count, Tensor& out) {
-  PARTIR_CHECK(in.size() == out.size() * count) << "slice chunk mismatch";
-  std::vector<int64_t> start(out.rank(), 0);
-  start[dim] = chunk * out.dim(dim);
-  CopyBox(in, start, out.dims(), out, std::vector<int64_t>(out.rank(), 0));
-}
-
-void AccumulateInto(const Tensor& part, bool is_max, Tensor& out) {
-  PARTIR_CHECK(part.size() == out.size()) << "accumulate size mismatch";
-  const float* p = part.data().data();
-  float* o = out.data().data();
-  const int64_t n = out.size();
-  if (is_max) {
-    for (int64_t k = 0; k < n; ++k) o[k] = std::max(o[k], p[k]);
-  } else {
-    for (int64_t k = 0; k < n; ++k) o[k] = o[k] + p[k];
-  }
-}
-
 }  // namespace exec
 }  // namespace partir

@@ -20,10 +20,6 @@
  *    strided copies. Innermost rows are unit-stride wherever the layout
  *    allows.
  *
- *  - Loop-region helpers: chunk copy in/out of a tiled dim (CopyBox), and
- *    in-order elementwise accumulation, matching Tensor::Concat /
- *    Tensor::Combine fold order for compiled PartIR:Core loops.
- *
  * Convolutions, gather, scatter_add, static_slice and concatenate keep the
  * generic fallback through the interpreter's own kernels.
  */
@@ -109,28 +105,6 @@ std::shared_ptr<const StridedKernel> MakeStridedKernel(const Operation& op);
  */
 void RunStridedKernel(const StridedKernel& kernel, const float* lhs,
                       const float* rhs, float* out, int64_t out_numel);
-
-/**
- * Copies `part` into the `chunk`-th of `count` equal chunks of `out` along
- * `dim` (the inverse of Tensor::SliceChunk): how a compiled #tile loop
- * writes one iteration's yield into the assembled result.
- */
-void PlaceChunkInto(const Tensor& part, int64_t dim, int64_t chunk,
-                    int64_t count, Tensor& out);
-
-/**
- * Extracts the `chunk`-th of `count` equal chunks of `in` along `dim` into
- * `out` (same semantics as Tensor::SliceChunk, reusing out's buffer).
- */
-void SliceChunkInto(const Tensor& in, int64_t dim, int64_t chunk,
-                    int64_t count, Tensor& out);
-
-/**
- * out[k] = out[k] + part[k] (or max with `is_max`), in ascending element
- * order — the fold order of Tensor::Combine, which keeps compiled #sum
- * loops bit-identical to the interpreter's accumulation.
- */
-void AccumulateInto(const Tensor& part, bool is_max, Tensor& out);
 
 }  // namespace exec
 }  // namespace partir

@@ -1,8 +1,6 @@
 #include "src/exec/memory_planner.h"
 
 #include <algorithm>
-#include <functional>
-#include <set>
 #include <utility>
 
 #include "src/ir/op_kind.h"
@@ -38,173 +36,9 @@ bool SupportsInPlace(OpKind kind) {
   return IsUnaryElementwise(kind) || IsBinaryElementwise(kind);
 }
 
-/** Element count of a value; range-typed loop arguments hold one scalar. */
+/** Element count of a value; a non-tensor value holds one scalar. */
 int64_t NumelOf(const Value* value) {
   return value->type().IsTensor() ? value->tensor_type().NumElements() : 1;
-}
-
-/** Values defined inside `op`'s regions: block args + results, recursive. */
-void CollectRegionDefined(const Operation& op,
-                          std::set<const Value*>& defined) {
-  for (int r = 0; r < op.num_regions(); ++r) {
-    const Block& block = op.region(r).block();
-    for (int a = 0; a < block.num_args(); ++a) defined.insert(block.arg(a));
-    for (const auto& inner : block.ops()) {
-      for (int i = 0; i < inner->num_results(); ++i) {
-        defined.insert(inner->result(i));
-      }
-      CollectRegionDefined(*inner, defined);
-    }
-  }
-}
-
-/**
- * Everything instruction `op` reads: its operands plus, for region ops,
- * every value referenced anywhere inside the regions that is defined
- * outside them (a loop reads its free values on every iteration, so they
- * must stay live across the whole loop instruction).
- */
-std::vector<const Value*> CollectReads(const Operation& op) {
-  std::vector<const Value*> reads(op.operands().begin(), op.operands().end());
-  if (op.num_regions() == 0) return reads;
-  std::set<const Value*> defined;
-  CollectRegionDefined(op, defined);
-  std::function<void(const Operation&)> walk = [&](const Operation& o) {
-    for (int r = 0; r < o.num_regions(); ++r) {
-      for (const auto& inner : o.region(r).block().ops()) {
-        for (const Value* v : inner->operands()) {
-          if (defined.count(v) == 0) reads.push_back(v);
-        }
-        walk(*inner);
-      }
-    }
-  };
-  walk(op);
-  return reads;
-}
-
-/**
- * Plans one loop body's values. Body slots are freshly allocated — never
- * shared with top-level (or sibling-body) slots, because an iteration may
- * run while any outer value is live — but a body-scoped free list reuses
- * them between body values whose body liveness does not overlap; since the
- * plan is fixed, every iteration reuses the same slots. `live_at` is the
- * enclosing top-level instruction index, recorded as the occupancy window
- * of every body value for the peak-live sweep.
- */
-void PlanRegionBlock(const Block& body, int live_at, MemoryPlan& plan) {
-  PARTIR_CHECK(body.num_ops() > 0 &&
-               body.terminator()->kind() == OpKind::kYield)
-      << "loop region must end in yield";
-  const int num_body = body.num_ops() - 1;
-
-  // Body-local liveness, in body instruction indices. Values not in these
-  // maps are outer references, handled by the enclosing scope.
-  std::map<const Value*, int> local_last;
-  for (int a = 0; a < body.num_args(); ++a) local_last[body.arg(a)] = -1;
-  for (int i = 0; i < num_body; ++i) {
-    const Operation& op = *body.ops()[i];
-    for (int r = 0; r < op.num_results(); ++r) local_last[op.result(r)] = i;
-  }
-  for (int i = 0; i < num_body; ++i) {
-    for (const Value* v : CollectReads(*body.ops()[i])) {
-      auto it = local_last.find(v);
-      if (it != local_last.end()) it->second = std::max(it->second, i);
-    }
-  }
-  // Yielded values are read by the loop machinery after the body finishes.
-  for (const Value* v : body.terminator()->operands()) {
-    auto it = local_last.find(v);
-    if (it != local_last.end()) it->second = num_body;
-  }
-
-  FreeLists free;
-  auto place_local = [&](const Value* value) {
-    ValuePlan vp;
-    vp.value = value;
-    vp.numel = NumelOf(value);
-    vp.def = live_at;
-    vp.last_use = live_at;
-    vp.region_local = true;
-    int reused = free.Take(vp.numel);
-    if (reused >= 0) {
-      vp.slot = reused;
-      ++plan.slots_reused;
-    } else {
-      plan.slot_numels.push_back(vp.numel);
-      vp.slot = static_cast<int>(plan.slot_numels.size()) - 1;
-    }
-    plan.index[value] = static_cast<int>(plan.values.size());
-    plan.values.push_back(vp);
-  };
-
-  for (int a = 0; a < body.num_args(); ++a) place_local(body.arg(a));
-
-  for (int i = 0; i < num_body; ++i) {
-    const Operation& op = *body.ops()[i];
-
-    // In-place adoption, restricted to body-local operands: an outer
-    // value's buffer must survive for the next iteration (and for every
-    // later top-level reader), so only a dying body-local qualifies.
-    const Value* adopted = nullptr;
-    if (op.num_results() == 1 && SupportsInPlace(op.kind())) {
-      for (const Value* operand : op.operands()) {
-        auto it = local_last.find(operand);
-        if (it == local_last.end() || it->second != i) continue;
-        if (plan.values[plan.IndexOf(operand)].numel ==
-            op.result()->tensor_type().NumElements()) {
-          adopted = operand;
-          break;
-        }
-      }
-    }
-
-    for (int r = 0; r < op.num_results(); ++r) {
-      const Value* result = op.result(r);
-      if (r == 0 && adopted != nullptr) {
-        ValuePlan vp;
-        vp.value = result;
-        vp.numel = NumelOf(result);
-        vp.def = live_at;
-        vp.last_use = live_at;
-        vp.region_local = true;
-        vp.slot = plan.values[plan.IndexOf(adopted)].slot;
-        vp.in_place = true;
-        ++plan.in_place_ops;
-        plan.index[result] = static_cast<int>(plan.values.size());
-        plan.values.push_back(vp);
-      } else {
-        place_local(result);
-      }
-    }
-
-    // Nested loops plan their bodies with the same occupancy window.
-    if (op.num_regions() > 0) {
-      for (int r = 0; r < op.num_regions(); ++r) {
-        PlanRegionBlock(op.region(r).block(), live_at, plan);
-      }
-    }
-
-    // Reclaim body-local operands whose body-local last use is here (each
-    // slot once, even when read twice), then dead results.
-    std::set<int> released;
-    for (const Value* operand : CollectReads(op)) {
-      if (operand == adopted) continue;
-      auto it = local_last.find(operand);
-      if (it == local_last.end() || it->second != i) continue;
-      int slot = plan.values[plan.IndexOf(operand)].slot;
-      if (released.insert(slot).second) {
-        free.Release(slot, plan.values[plan.IndexOf(operand)].numel);
-      }
-    }
-    for (int r = 0; r < op.num_results(); ++r) {
-      const Value* result = op.result(r);
-      if (local_last.at(result) == i) {
-        const ValuePlan& vp = plan.values[plan.IndexOf(result)];
-        free.Release(vp.slot, vp.numel);
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -219,8 +53,7 @@ MemoryPlan PlanMemory(const Func& func) {
   MemoryPlan plan;
   plan.num_instructions = num_instructions;
 
-  // Enumerate top-level values: args first, then op results in program
-  // order. (Loop-body values are added when their loop is planned below.)
+  // Enumerate values: args first, then op results in program order.
   auto add_value = [&plan](const Value* value, int def) {
     ValuePlan vp;
     vp.value = value;
@@ -236,12 +69,11 @@ MemoryPlan PlanMemory(const Func& func) {
     for (int r = 0; r < op.num_results(); ++r) add_value(op.result(r), i);
   }
 
-  // Liveness: last_use is the largest reading instruction — where a loop
-  // counts as reading every outer value referenced inside its region — and
-  // the return op pins its operands to one-past-the-end so outputs are
-  // never reclaimed.
+  // Liveness: last_use is the largest reading instruction, and the return
+  // op pins its operands to one-past-the-end so outputs are never
+  // reclaimed.
   for (int i = 0; i < num_instructions; ++i) {
-    for (const Value* operand : CollectReads(*body.ops()[i])) {
+    for (const Value* operand : body.ops()[i]->operands()) {
       ValuePlan& vp = plan.values[plan.IndexOf(operand)];
       vp.last_use = std::max(vp.last_use, i);
     }
@@ -307,17 +139,9 @@ MemoryPlan PlanMemory(const Func& func) {
       }
     }
 
-    // Loop bodies get their own (fresh, per-iteration-reused) slots.
-    if (op.num_regions() > 0) {
-      for (int r = 0; r < op.num_regions(); ++r) {
-        PlanRegionBlock(op.region(r).block(), i, plan);
-      }
-    }
-
     // Now — and only now — reclaim operands whose last use was this
     // instruction (each slot once, even if the value is read twice).
-    const std::vector<const Value*> reads = CollectReads(op);
-    for (const Value* operand : reads) {
+    for (const Value* operand : op.operands()) {
       if (operand == adopted) continue;  // slot lives on in the result
       ValuePlan& ovp = plan.values[plan.IndexOf(operand)];
       if (ovp.last_use == i && ovp.slot >= 0) {
@@ -325,7 +149,7 @@ MemoryPlan PlanMemory(const Func& func) {
         ovp.slot = ~ovp.slot;  // mark released, undone below
       }
     }
-    for (const Value* operand : reads) {
+    for (const Value* operand : op.operands()) {
       ValuePlan& ovp = plan.values[plan.IndexOf(operand)];
       if (ovp.slot < 0) ovp.slot = ~ovp.slot;
     }
@@ -338,8 +162,7 @@ MemoryPlan PlanMemory(const Func& func) {
 
   // Statistics. Arena footprint is the sum of slot sizes; peak live bytes
   // sweeps the merged per-slot occupancy intervals (an in-place handoff
-  // keeps its slot continuously occupied, so the pair counts once; a
-  // region-local value occupies its slot for its loop's whole window).
+  // keeps its slot continuously occupied, so the pair counts once).
   for (int64_t numel : plan.slot_numels) {
     plan.arena_bytes += numel * kElementBytes;
   }

@@ -54,15 +54,6 @@ struct ValuePlan {
   int slot = -1;
   /** True when the value reuses its dying operand's slot in place. */
   bool in_place = false;
-  /**
-   * True for values defined inside a loop region. Their slots are fresh
-   * (disjoint from every top-level slot, since the loop may run while any
-   * outer value is live) but reused across iterations and between
-   * body-local values whose body liveness does not overlap. def/last_use
-   * hold the enclosing top-level loop's instruction index — the window in
-   * which the slot is occupied.
-   */
-  bool region_local = false;
 };
 
 /** The arena plan of one device-local function. */
@@ -91,11 +82,10 @@ struct MemoryPlan {
 };
 
 /**
- * Plans the arena of `func`, a device-local function whose terminator is a
- * return. PartIR:Core loop regions are planned too: a loop instruction
- * reads every outer value referenced anywhere inside its region (extending
- * those values' liveness to the loop), and body-local values get their own
- * slots with per-iteration reuse. Deterministic: same function, same plan.
+ * Plans the arena of `func`, a flat device-local function
+ * (exec::ValidateFlatProgram) whose terminator is a return: an
+ * instruction reads exactly its operands. Deterministic: same function,
+ * same plan.
  */
 MemoryPlan PlanMemory(const Func& func);
 

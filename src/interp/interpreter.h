@@ -34,8 +34,7 @@ std::vector<Tensor> EvalOpRef(const Operation& op,
 /**
  * Evaluates one op — including PartIR:Core region ops (loop / slice, with
  * the sequential loop semantics of Figure 13) — against an external
- * environment: how the SPMD interpreter executes partially-lowered
- * device-local programs that still carry loop regions.
+ * environment, as Evaluate does for each op of a function.
  */
 void EvalOpInEnv(const Operation& op, Env& env);
 

@@ -138,6 +138,12 @@ inline bool IsBinaryElementwise(OpKind kind) {
   }
 }
 
+/** True for the PartIR:Core loop ops: loop, slice and yield. */
+inline bool IsPartirCoreOp(OpKind kind) {
+  return kind == OpKind::kLoop || kind == OpKind::kPSlice ||
+         kind == OpKind::kYield;
+}
+
 /** True for the PartIR:HLO collective communication ops. */
 inline bool IsCollective(OpKind kind) {
   switch (kind) {

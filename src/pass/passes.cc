@@ -53,10 +53,9 @@ Status AutoTacticPass::Run(PipelineState& state) {
                                   ")");
     }
   }
-  AutoOptions auto_options = tactic_.options;
-  auto_options.device = state.options.device;
-  AutoResult found =
-      AutomaticallyPartition(state.ctx, tactic_.axes, auto_options);
+  AutoResult found = AutomaticallyPartition(state.ctx, tactic_.axes,
+                                            tactic_.options,
+                                            state.options.device);
   report.actions_applied = static_cast<int>(found.actions.size());
   report.evaluations = found.evaluations;
   report.search_seconds = found.search_seconds;

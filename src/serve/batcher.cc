@@ -292,7 +292,7 @@ StatusOr<std::shared_ptr<const Batcher::CompiledBatch>> Batcher::Compile(
     // stacked trace (shared partition cache, so flipping back is a hit).
     StatusOr<Executable> exe =
         previous->exe.Respecialize(schedule, partition_options_);
-    if (!exe.ok() && options_.fallback_unpartitioned) {
+    if (!exe.ok()) {
       exe = previous->exe.Respecialize({}, partition_options_);
       fallback = true;
     }
@@ -346,7 +346,7 @@ StatusOr<std::shared_ptr<const Batcher::CompiledBatch>> Batcher::Compile(
 
   StatusOr<Executable> exe =
       program.Partition(schedule, mesh_, partition_options_);
-  if (!exe.ok() && options_.fallback_unpartitioned) {
+  if (!exe.ok()) {
     exe = program.Partition({}, mesh_, partition_options_);
     fallback = true;
   }

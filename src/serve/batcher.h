@@ -55,10 +55,6 @@ struct BatchOptions {
    *  — group-position-ordered collectives keep batched outputs bit-
    *  identical to unbatched runs). */
   RunOptions run;
-  /** When the serving schedule cannot partition a batch size (indivisible
-   *  dims), compile that size unpartitioned (replicated) instead of
-   *  failing its requests. */
-  bool fallback_unpartitioned = true;
 };
 
 /** Counters of one Batcher (monotonic over its lifetime). */

@@ -592,6 +592,15 @@ Status ValidateLowerable(const PartitionContext& ctx) {
         "function '", func.name(),
         "' has no return terminator; finish building it before lowering");
   }
+  // Tactics express loops as partitioning state; a loop op in the traced
+  // function itself would lower to a region-less loop nothing can run.
+  for (int i = 0; i < func.body().num_ops(); ++i) {
+    const Operation& op = *func.body().ops()[i];
+    if (op.num_regions() == 0 && !IsPartirCoreOp(op.kind())) continue;
+    return InvalidArgumentError(
+        "the traced program must be loop-free, but op ", i, " of '",
+        func.name(), "' is a PartIR:Core '", OpKindName(op.kind()), "'");
+  }
   Status status = Status::Ok();
   auto check_value = [&](const Value* value) {
     if (!status.ok() || !value->type().IsTensor()) return;

@@ -13,6 +13,11 @@
  * and its peak-memory savings. The one shared redistribution is the full
  * gather of a scatter-realized gradient value: uses within a short op window
  * reuse it instead of gathering again.
+ *
+ * The device-local module is flat: local ops and collectives ending in a
+ * return. Tactic loops are partitioning state here, never ops, so the
+ * traced function must be loop-free; the loop nests of the paper's
+ * PartIR:Core exist only in the printed loop form (Executable::Print).
  */
 #ifndef PARTIR_SPMD_LOWERING_H_
 #define PARTIR_SPMD_LOWERING_H_
@@ -91,8 +96,9 @@ struct SpmdModule {
  * module is unoptimized; run OptimizeSpmd (optimize.h) before counting
  * collectives or estimating cost. Returns a typed error (instead of
  * aborting) when the context is not lowerable: empty mesh, an unterminated
- * function body, or partitioning state whose tiles do not divide the value
- * dims they shard.
+ * function body, a traced function holding a PartIR:Core loop, slice or
+ * yield op (kInvalidArgument), or partitioning state whose tiles do not
+ * divide the value dims they shard.
  */
 StatusOr<SpmdModule> LowerToSpmdOrError(const PartitionContext& ctx);
 

@@ -86,12 +86,6 @@ std::vector<int64_t> ShardStart(const ValueSharding& sharding,
 
 /** Evaluates a device-local (non-collective) op into `env`. */
 void EvalLocalOp(const Operation& op, Env& env) {
-  if (op.num_regions() > 0) {
-    // PartIR:Core loop still in the device-local program: the reference
-    // interpreter's sequential loop semantics, against this device's env.
-    EvalOpInEnv(op, env);
-    return;
-  }
   std::vector<Tensor> operands;
   operands.reserve(op.operands().size());
   for (const Value* operand : op.operands()) {
@@ -232,6 +226,14 @@ StatusOr<std::vector<Tensor>> RunSpmd(const SpmdModule& spmd,
   }
   // kInterpret: the sequential reference walker, on the calling thread
   // whatever num_threads and pool say.
+  const Func& func = *spmd.main();
+  if (func.body().num_ops() == 0 ||
+      func.body().terminator()->kind() != OpKind::kReturn) {
+    return InternalError("SPMD function '", func.name(),
+                         "' has no return terminator");
+  }
+  PARTIR_RETURN_IF_ERROR(exec::ValidateFlatProgram(func));
+
   std::atomic<int64_t> run_allocs{0};
   AllocationScope alloc_scope(options.stats != nullptr ? &run_allocs
                                                        : nullptr);
@@ -243,12 +245,6 @@ StatusOr<std::vector<Tensor>> RunSpmd(const SpmdModule& spmd,
     local_plan = BuildCollectivePlan(spmd.mesh, *spmd.module);
   }
 
-  const Func& func = *spmd.main();
-  if (func.body().num_ops() == 0 ||
-      func.body().terminator()->kind() != OpKind::kReturn) {
-    return InternalError("SPMD function '", func.name(),
-                         "' has no return terminator");
-  }
   int64_t num_devices = spmd.mesh.NumDevices();
   std::vector<Env> envs(num_devices);
   for (int i = 0; i < func.body().num_args(); ++i) {

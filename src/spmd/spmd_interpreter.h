@@ -129,9 +129,10 @@ Tensor UnshardTensor(const PerDevice& shards, const ValueSharding& sharding,
  * Runs the SPMD program on all devices. `inputs[i]` are the *global* input
  * tensors; they are sharded per the module's input shardings. Returns the
  * *global* outputs, reassembled per the output shardings. Input arity and
- * shape mismatches (including unshardable global dims) are typed errors,
- * reported before any device thread starts; output replicas that disagree
- * are a kInternal error.
+ * shape mismatches (including unshardable global dims) and a module that
+ * is not flat (exec::ValidateFlatProgram) are typed errors on both
+ * backends, reported before any device thread starts; output replicas
+ * that disagree are a kInternal error.
  */
 StatusOr<std::vector<Tensor>> RunSpmd(const SpmdModule& spmd,
                                       const std::vector<Tensor>& global_inputs,

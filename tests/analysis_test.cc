@@ -165,10 +165,10 @@ TEST(MemoryCheckerTest, ForgedOverlappingSlotsAreFlagged) {
   for (int i = 0; second == -1 && i < static_cast<int>(forged.values.size());
        ++i) {
     const exec::ValuePlan& a = forged.values[i];
-    if (a.def != -1 || a.region_local) continue;
+    if (a.def != -1) continue;
     for (int j = i + 1; j < static_cast<int>(forged.values.size()); ++j) {
       const exec::ValuePlan& b = forged.values[j];
-      if (b.def != -1 || b.region_local) continue;
+      if (b.def != -1) continue;
       if (a.numel == b.numel && a.slot != b.slot) {
         first = i;
         second = j;

@@ -7,14 +7,15 @@
 // check the block copies under slicing, concatenation and (un)sharding.
 // Also covers memory_stats(), ad-hoc compilation after module mutation,
 // cache-hit clones, the worker pool, per-Run allocation stats, typed
-// replica mismatches, and a batcher smoke. This suite runs under the
-// ThreadSanitizer CI job.
+// replica mismatches, the refusal of loop-region modules, and a batcher
+// smoke. This suite runs under the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <functional>
 
+#include "src/analysis/analyze.h"
 #include "src/api/partir.h"
 #include "src/exec/device_program.h"
 #include "src/exec/worker_pool.h"
@@ -335,13 +336,34 @@ TEST(ExecBackendTest, ElementwiseChainsFuseAndStayBitIdentical) {
   ExpectBackendsAgree(exe, program.RandomInputs(41), "fused chain");
 }
 
-// ---- Compiled PartIR:Core loop regions ----
+// ---- Device-local programs are flat ----
+
+// The compiler, the walker and compiled Runs at 1 and 0 threads all refuse
+// `spmd` with a kInvalidArgument naming `named`; analysis reports an error.
+void ExpectRefusedEverywhere(const SpmdModule& spmd,
+                             const std::vector<Tensor>& inputs,
+                             const std::string& named) {
+  auto expect_refused = [&](const Status& status, const std::string& label) {
+    ASSERT_FALSE(status.ok()) << label;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << label;
+    EXPECT_NE(status.message().find(named), std::string::npos)
+        << label << ": " << status.message();
+  };
+  expect_refused(exec::CompileDeviceProgram(spmd).status(), "compile");
+  expect_refused(RunSpmd(spmd, inputs, Walker()).status(), "walker");
+  for (int num_threads : {1, 0}) {
+    RunOptions compiled;
+    compiled.num_threads = num_threads;
+    expect_refused(RunSpmd(spmd, inputs, compiled).status(),
+                   "compiled (threads=" + std::to_string(num_threads) + ")");
+  }
+  EXPECT_GT(analysis::AnalyzeSpmd(spmd).errors(), 0);
+}
 
 // A device-local module still carrying loop regions (tile with slices, a
-// nested tile inside a sum, and an elementwise tail in a body) must compile
-// — no interpreter fallback — and agree bit-for-bit with the reference
-// walker in every threading mode.
-TEST(ExecBackendTest, LoopRegionModulesCompileAndAgree) {
+// nested tile inside a sum, and an any loop) is refused, naming the first
+// loop.
+TEST(ExecBackendTest, LoopRegionModulesAreRejected) {
   Mesh mesh({{"B", 2}});
   SpmdModule spmd;
   spmd.module = std::make_unique<Module>();
@@ -361,8 +383,7 @@ TEST(ExecBackendTest, LoopRegionModulesCompileAndAgree) {
     inner.Yield(&body, {inner.Tanh(inner.Mul(h, h))});
   }
 
-  // sum loop with a nested tile loop: exercises recursive compilation and
-  // per-iteration slot reuse two regions deep.
+  // sum loop with a nested tile loop.
   Operation* sum = builder.Loop("S", 2, "sum", -1, TensorType({8, 6}));
   {
     Block& sbody = sum->region(0).block();
@@ -387,19 +408,33 @@ TEST(ExecBackendTest, LoopRegionModulesCompileAndAgree) {
   spmd.input_shardings = {replicated, replicated};
   spmd.output_shardings = {replicated, replicated};
 
-  // The whole point: this module compiles instead of erroring out.
-  ASSERT_TRUE(exec::CompileDeviceProgram(spmd).ok());
+  // The tile loop is op 0.
+  ExpectRefusedEverywhere(spmd,
+                          {Tensor::Random({8, 4}, 51),
+                           Tensor::Random({4, 6}, 52)},
+                          "op 0 ('loop')");
+}
 
-  std::vector<Tensor> inputs = {Tensor::Random({8, 4}, 51),
-                                Tensor::Random({4, 6}, 52)};
-  std::vector<Tensor> want = RunSpmd(spmd, inputs, Walker()).value();
-  for (int num_threads : {1, 3, 0}) {
-    RunOptions compiled;
-    compiled.num_threads = num_threads;
-    ExpectBitIdentical(RunSpmd(spmd, inputs, compiled).value(), want,
-                       "loop region (threads=" +
-                           std::to_string(num_threads) + ")");
-  }
+// A loop op without a region, as a lowering of a loop-carrying trace
+// would emit, is refused by its kind before any kernel sees it.
+TEST(ExecBackendTest, RegionlessLoopIsRejected) {
+  SpmdModule spmd;
+  spmd.module = std::make_unique<Module>();
+  spmd.mesh = Mesh({{"B", 2}});
+  Func* func = spmd.module->AddFunc("main");
+  Value* x = func->body().AddArg(TensorType({8, 4}), "x");
+  OpBuilder builder(&func->body());
+  Value* y = builder.Tanh(x);
+  Operation* loop = func->body().Append(std::make_unique<Operation>(
+      OpKind::kLoop, std::vector<Value*>{},
+      std::vector<Type>{Type(TensorType({8, 4}))}));
+  builder.Return({builder.Add(y, loop->result())});
+  ValueSharding replicated{AxesPerDim{{}, {}}};
+  spmd.input_shardings = {replicated};
+  spmd.output_shardings = {replicated};
+
+  ExpectRefusedEverywhere(spmd, {Tensor::Random({8, 4}, 53)},
+                          "op 1 ('loop') is a PartIR:Core loop op");
 }
 
 // ---- Persistent worker pool ----
@@ -857,8 +892,7 @@ TEST(BoxCopyTest, UnshardKeepsTheLastOfAgreeingReplicas) {
 
 // ---- Every contraction, reduction and layout op on a strided kernel ----
 
-// (instructions of the strided kinds, those carrying a strided kernel),
-// loop bodies included.
+// (instructions of the strided kinds, those carrying a strided kernel).
 std::pair<int, int> CountStrided(
     const std::vector<exec::Instruction>& instructions) {
   std::pair<int, int> counts{0, 0};
@@ -868,11 +902,6 @@ std::pair<int, int> CountStrided(
         inst.kind == OpKind::kBroadcastInDim) {
       ++counts.first;
       if (inst.strided != nullptr) ++counts.second;
-    }
-    if (inst.loop != nullptr) {
-      std::pair<int, int> body = CountStrided(inst.loop->body);
-      counts.first += body.first;
-      counts.second += body.second;
     }
   }
   return counts;

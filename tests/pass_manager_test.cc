@@ -418,9 +418,8 @@ void ExpectMatchesPreRefactorPipeline(Program& program,
       ctx.Propagate();
     } else {
       const auto& automatic = std::get<AutomaticPartition>(tactic);
-      AutoOptions auto_options = automatic.options;
-      auto_options.device = options.device;
-      AutomaticallyPartition(ctx, automatic.axes, auto_options);
+      AutomaticallyPartition(ctx, automatic.axes, automatic.options,
+                             options.device);
     }
   }
   SpmdModule spmd = LowerToSpmdOrError(ctx).value();

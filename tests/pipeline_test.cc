@@ -193,7 +193,7 @@ TEST(AutoPartTest, DiscoversBatchParallelismOnChain) {
   AutoOptions options;
   options.simulations = 24;
   options.max_actions = 2;
-  AutoResult result = AutomaticallyPartition(ctx, {"B"}, options);
+  AutoResult result = AutomaticallyPartition(ctx, {"B"}, options, Tpu_v3());
   ASSERT_FALSE(result.actions.empty());
   // The input batch dim must be sharded.
   EXPECT_TRUE(ctx.state(x).HasAxis("B"));
@@ -214,8 +214,9 @@ TEST(AutoPartTest, RespectsMemoryLimit) {
   AutoOptions options;
   options.simulations = 16;
   options.max_actions = 2;
-  options.device.hbm_bytes = 3e6;  // 3 MB: full tensors do not fit
-  AutoResult result = AutomaticallyPartition(ctx, {"B"}, options);
+  DeviceSpec device = Tpu_v3();
+  device.hbm_bytes = 3e6;  // 3 MB: full tensors do not fit
+  AutoResult result = AutomaticallyPartition(ctx, {"B"}, options, device);
   EXPECT_FALSE(result.actions.empty());
 }
 

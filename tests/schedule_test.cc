@@ -1,9 +1,10 @@
 // Tests for the Program/Executable facade and the Status-based error
 // surface: the partition pipeline (PartirJitOrError) end-to-end through one
 // Partition call, the incremental vs PartIR-st ablation (Section 7.4),
-// TacticReport metadata, stage printing, Respecialize, and every typed
-// error path (bad axis name, indivisible dim, unmatched key, unsealed
-// program, bad Run inputs).
+// TacticReport metadata, stage printing, Respecialize, the device spec
+// reaching the automatic search, and every typed error path (bad axis
+// name, indivisible dim, unmatched key, unsealed program, bad Run inputs,
+// a loop in the traced program).
 #include <gtest/gtest.h>
 
 #include "src/api/partir.h"
@@ -291,6 +292,55 @@ TEST(FacadeErrorTest, AutomaticTacticValidatesAxes) {
       program.Partition({automatic}, Mesh({{"B", 4}}));
   ASSERT_FALSE(exe.ok());
   EXPECT_NE(exe.status().message().find("bogus"), std::string::npos);
+}
+
+TEST(FacadeErrorTest, LoopInTracedProgramIsRefused) {
+  // Only a hand-built loop can reach the lowering; it must come back as a
+  // typed error, not as a module neither engine can run.
+  Program program("looped");
+  Value* x = program.AddInput(TensorType({8, 4}), "x");
+  OpBuilder& b = program.builder();
+  Operation* loop = b.Loop("B", 4, "tile", 0, TensorType({8, 4}));
+  {
+    Block& body = loop->region(0).block();
+    OpBuilder inner(&body);
+    inner.Yield(&body, {inner.Tanh(inner.PSlice(x, body.arg(0), 0))});
+  }
+  program.Return({loop->result()});
+  StatusOr<Executable> exe = program.Partition({}, Mesh({{"B", 4}}));
+  ASSERT_FALSE(exe.ok());
+  EXPECT_EQ(exe.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(exe.status().message().find("must be loop-free"),
+            std::string::npos)
+      << exe.status().message();
+}
+
+TEST(FacadeTest, DeviceMemoryLimitMakesAutomaticPartitionShard) {
+  // Sharding x @ w along its contraction costs an all_reduce that outweighs
+  // the compute it saves, so on the default device the search keeps the
+  // program whole. The operands do not fit a 300 KB device unsharded, so
+  // there it must shard: PartitionOptions::device is the spec it scores.
+  Program program("main");
+  Value* x = program.AddInput(TensorType({4, 16384}), "x");
+  Value* w = program.AddInput(TensorType({16384, 4}), "w");
+  program.Return({program.builder().MatMul(x, w)});
+  AutomaticPartition automatic;
+  automatic.axes = {"B"};
+  automatic.options.simulations = 16;
+  automatic.options.max_actions = 2;
+  const Mesh mesh({{"B", 8}});
+
+  StatusOr<Executable> roomy = program.Partition({automatic}, mesh);
+  ASSERT_TRUE(roomy.ok()) << roomy.status().ToString();
+  ASSERT_EQ(roomy->tactics().size(), 1u);
+  EXPECT_EQ(roomy->tactics()[0].actions_applied, 0);
+
+  PartitionOptions options;
+  options.device.hbm_bytes = 3e5;
+  StatusOr<Executable> tight = program.Partition({automatic}, mesh, options);
+  ASSERT_TRUE(tight.ok()) << tight.status().ToString();
+  ASSERT_EQ(tight->tactics().size(), 1u);
+  EXPECT_GT(tight->tactics()[0].actions_applied, 0);
 }
 
 // ---- Context-level Status surface ----

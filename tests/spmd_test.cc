@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/core/context.h"
 #include "src/exec/device_program.h"
@@ -470,8 +469,8 @@ TEST(SpmdOptimizeTest, OptimizeKeepsLoopRegions) {
   // A device-local module still carrying loop regions: a tile loop whose
   // body reads a no-op all_gather the sweep removes, a sum loop with a
   // nested tile loop, and an any loop. Optimizing must keep every loop
-  // body, rewire the region's read to the gather's operand, and leave the
-  // program computing bit-for-bit what it computed before.
+  // body and rewire the region's read to the gather's operand. (Neither
+  // engine runs such a module; exec_backend_test checks the refusal.)
   Mesh mesh({{"B", 2}});
   OpBuilder builder(nullptr);
   SpmdModule spmd = EmptySpmd(mesh, builder);
@@ -510,12 +509,6 @@ TEST(SpmdOptimizeTest, OptimizeKeepsLoopRegions) {
   spmd.input_shardings = {replicated, replicated};
   spmd.output_shardings = {replicated, replicated};
 
-  RunOptions walker;
-  walker.backend = ExecBackend::kInterpret;
-  std::vector<Tensor> inputs = {Tensor::Random({8, 4}, 51),
-                                Tensor::Random({4, 6}, 52)};
-  std::vector<Tensor> want = RunSpmd(spmd, inputs, walker).value();
-
   EXPECT_EQ(OptimizeSpmd(spmd), 1);  // the no-op gather
   int loops = 0;
   WalkOps(spmd.main()->body(), [&](const Operation& op) {
@@ -527,26 +520,6 @@ TEST(SpmdOptimizeTest, OptimizeKeepsLoopRegions) {
   ASSERT_EQ(loops, 4);
   EXPECT_EQ(slice->operand(0), x);
   EXPECT_EQ(CountCollectives(*spmd.module, spmd.mesh).all_gather, 0);
-
-  auto expect_bit_identical = [&](const std::vector<Tensor>& got,
-                                  const std::string& label) {
-    ASSERT_EQ(got.size(), want.size()) << label;
-    for (size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(got[i].dims(), want[i].dims()) << label << " output " << i;
-      EXPECT_EQ(std::memcmp(got[i].data().data(), want[i].data().data(),
-                            want[i].data().size() * sizeof(float)),
-                0)
-          << label << " output " << i << " is not bit-identical";
-    }
-  };
-  expect_bit_identical(RunSpmd(spmd, inputs, walker).value(), "walker");
-  for (int num_threads : {1, 0}) {
-    RunOptions compiled;
-    compiled.num_threads = num_threads;
-    expect_bit_identical(
-        RunSpmd(spmd, inputs, compiled).value(),
-        "compiled (threads=" + std::to_string(num_threads) + ")");
-  }
 }
 
 // End-to-end property sweep: model x schedule x mesh. Every partitioned
