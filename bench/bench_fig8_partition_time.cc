@@ -30,7 +30,7 @@ double Seconds(Clock::time_point start) {
 // verification, repeated canonicalization sweeps and cost analysis.
 double BackendStandIn(SpmdModule& spmd) {
   auto start = Clock::now();
-  VerifyOrDie(*spmd.module);
+  VerifyOrDie(*spmd.module, &spmd.mesh);
   for (int sweep = 0; sweep < 12; ++sweep) {
     OptimizeSpmd(spmd);
     EliminateDeadCode(*spmd.main());

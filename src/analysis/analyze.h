@@ -1,7 +1,7 @@
 /**
  * @file
  * Entry points of the static analysis suite: run every checker over a
- * lowered SPMD module (and its compiled device program) or lint a plain
+ * lowered SPMD module (and its compiled device program) or over a plain
  * traced module, collecting a single AnalysisReport.
  *
  * Wired three ways: the static-analysis pipeline pass
@@ -19,16 +19,18 @@ namespace partir {
 namespace analysis {
 
 /**
- * Runs the full suite over a lowered module: IR lint first (structural
- * errors there make the other checkers meaningless — they are skipped with
- * a note), then shape consistency, the collective deadlock/mismatch
- * detector, and the memory-plan verifier over spmd.exec_program (compiled
- * ad hoc when absent; a compile failure is itself a diagnostic). Never
- * aborts on malformed input.
+ * Runs the full suite over a lowered module. The IR verifier runs first
+ * (checker id "ir-verify": every op against its typing rule over the mesh,
+ * placement, and the input/output shardings against the mesh and the
+ * signature). A module that does not verify gets only those errors, with
+ * a note that the later checkers were skipped. Otherwise lint, the
+ * collective deadlock/mismatch detector and the memory-plan verifier over
+ * spmd.exec_program (compiled ad hoc when absent; a compile failure is
+ * itself a diagnostic) follow. Never aborts on malformed input.
  */
 AnalysisReport AnalyzeSpmd(const SpmdModule& spmd);
 
-/** Lints a traced (pre-partition, mesh-less) module. */
+/** Verifies, then lints, a traced (pre-partition, mesh-less) module. */
 AnalysisReport AnalyzeModule(const Module& module);
 
 }  // namespace analysis

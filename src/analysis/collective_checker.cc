@@ -5,6 +5,7 @@
 #include <set>
 #include <utility>
 
+#include "src/ir/verifier.h"
 #include "src/spmd/collectives.h"
 #include "src/support/str_util.h"
 
@@ -16,10 +17,8 @@ constexpr char kMismatch[] = "collective-mismatch";
 constexpr char kDeadlock[] = "collective-deadlock";
 
 std::string ReductionOf(const Operation& op) {
-  auto it = op.attrs().raw().find("reduction");
-  if (it == op.attrs().raw().end()) return "";
-  const std::string* value = std::get_if<std::string>(&it->second);
-  return value == nullptr ? "" : *value;
+  const std::string* reduction = op.attrs().Find<std::string>("reduction");
+  return reduction == nullptr ? "" : *reduction;
 }
 
 std::string OpSignature(OpKind kind, const std::vector<std::string>& axes,
@@ -29,62 +28,32 @@ std::string OpSignature(OpKind kind, const std::vector<std::string>& axes,
   return StrCat(sig, " numel=", numel);
 }
 
-std::string OpLocation(int index, const Operation& op) {
-  std::string name =
-      op.num_results() > 0 ? op.result(0)->name() : std::string("?");
-  return StrCat("op ", index, " (", OpKindName(op.kind()), " '%", name, "')");
-}
-
 }  // namespace
 
 std::vector<DeviceTrace> ExtractCollectiveTraces(const Module& module,
-                                                 const Mesh& mesh,
-                                                 AnalysisReport& report) {
+                                                 const Mesh& mesh) {
   const int64_t num_devices = mesh.NumDevices();
   std::vector<DeviceTrace> traces(num_devices);
   for (int64_t d = 0; d < num_devices; ++d) traces[d].device = d;
 
-  const Func* main = module.funcs().empty() ? nullptr : module.main();
-  if (main == nullptr) return traces;
-
   // Replica groups shared between ops with the same axes, as in the plan.
   std::map<std::vector<std::string>, CollectiveGroups> cache;
   int64_t site_base = 0;
-  int index = 0;
-  for (const auto& op : main->body().ops()) {
-    const int i = index++;
-    if (!IsCollectiveKind(op->kind())) continue;
+  const Block& body = module.main()->body();
+  for (int i = 0; i < body.num_ops(); ++i) {
+    const Operation* op = body.ops()[i].get();
+    if (!IsCollective(op->kind())) continue;
     if (op->kind() == OpKind::kAllSlice) continue;  // device-local
 
-    StatusOr<std::vector<std::string>> axes_or = CollectiveGroupAxes(*op);
-    if (!axes_or.ok()) {
-      report.Error(kMismatch, OpLocation(i, *op),
-                   StrCat("unreadable collective attributes: ",
-                          axes_or.status().message()));
-      continue;
-    }
-    const std::vector<std::string>& axes = axes_or.value();
-    bool axes_ok = true;
-    for (const std::string& axis : axes) {
-      if (!mesh.HasAxis(axis)) {
-        report.Error(kMismatch, OpLocation(i, *op),
-                     StrCat("unknown mesh axis '", axis, "'"));
-        axes_ok = false;
-      }
-    }
-    if (!axes_ok) continue;
-
+    std::vector<std::string> axes = CollectiveGroupAxes(*op);
     auto it = cache.find(axes);
     if (it == cache.end()) {
       it = cache.emplace(axes, MakeCollectiveGroups(mesh, axes)).first;
     }
     const CollectiveGroups& groups = it->second;
-    int64_t numel = 0;
-    if (op->num_results() > 0 && op->result(0)->type().IsTensor()) {
-      numel = op->result(0)->tensor_type().NumElements();
-    }
     std::string signature =
-        OpSignature(op->kind(), axes, ReductionOf(*op), numel);
+        OpSignature(op->kind(), axes, ReductionOf(*op),
+                    op->result()->tensor_type().NumElements());
     std::string location = OpLocation(i, *op);
     for (int64_t d = 0; d < num_devices; ++d) {
       CollectiveEvent event;
@@ -292,7 +261,7 @@ void CheckCollectives(const SpmdModule& spmd, AnalysisReport& report) {
   if (spmd.exec_program != nullptr) {
     traces = ExtractCollectiveTraces(*spmd.exec_program, spmd.mesh, report);
   } else if (spmd.module != nullptr) {
-    traces = ExtractCollectiveTraces(*spmd.module, spmd.mesh, report);
+    traces = ExtractCollectiveTraces(*spmd.module, spmd.mesh);
   }
   CheckCollectiveTraces(traces, report);
 }

@@ -58,14 +58,12 @@ struct DeviceTrace {
 };
 
 /**
- * Extracts per-device traces from a lowered module by walking the top-level
- * collectives in program order (mirroring the compiler's site numbering).
- * Malformed collective attributes or unknown mesh axes become diagnostics
- * and the op is skipped. all_slice is device-local: no events.
+ * Extracts per-device traces from a lowered module that verifies over
+ * `mesh`, by walking the top-level collectives in program order (mirroring
+ * the compiler's site numbering). all_slice is device-local: no events.
  */
 std::vector<DeviceTrace> ExtractCollectiveTraces(const Module& module,
-                                                 const Mesh& mesh,
-                                                 AnalysisReport& report);
+                                                 const Mesh& mesh);
 
 /** Extracts per-device traces from a compiled instruction stream, using the
  *  baked site_base / replica groups. */

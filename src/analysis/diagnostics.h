@@ -34,7 +34,8 @@ struct Diagnostic {
   /** Stable checker id, e.g. "collective-deadlock" or "memory-plan". */
   std::string checker_id;
   /** Op / instruction / site the finding is anchored to, e.g. "op 12
-   *  (all_reduce '%ar3')" or "device 2 instruction 7". Empty if global. */
+   *  (all_reduce)" (OpLocation) or "device 2 instruction 7". Empty if
+   *  global. */
   std::string location;
   std::string message;
   /** Secondary lines: witnesses, counterexample paths, suggestions. */

@@ -1,20 +1,13 @@
 /**
  * @file
- * IR lint: structural well-formedness errors plus semantic hygiene
- * warnings, safe to run over untrusted (deserialized, hand-mutated)
- * modules — every malformed construct becomes a diagnostic, never a crash.
- *
- * Checker ids:
- *  - "ir-lint" (errors): region well-formedness (kLoop arity, range arg and
- *    trip count, kYield placement and arity, kPSlice operands and
- *    divisibility), collective attribute presence/types/axes, misplaced
- *    terminators;
- *  - "dead-value" (warnings): ops none of whose results are ever read;
- *  - "redundant-collective" (warnings): collectives the replication
- *    dataflow proves unnecessary — an all_gather of a value already
- *    replicated along the gather axes, or an all_reduce of an
- *    already-replicated value (for "sum" that is not even a no-op: it
- *    multiplies by the group size — a likely double-reduce bug).
+ * IR lint: semantic hygiene warnings over modules the verifier accepted
+ * (the analysis entry points verify first). Checker ids:
+ *  - "dead-value": ops none of whose results are ever read;
+ *  - "redundant-collective": collectives the replication dataflow proves
+ *    unnecessary — an all_gather of a value already replicated along the
+ *    gather axes, or an all_reduce of an already-replicated value (for
+ *    "sum" that is not even a no-op: it multiplies by the group size — a
+ *    likely double-reduce bug).
  */
 #ifndef PARTIR_ANALYSIS_LINT_H_
 #define PARTIR_ANALYSIS_LINT_H_
@@ -27,9 +20,9 @@ namespace partir {
 namespace analysis {
 
 /**
- * Lints every function of `module`. `mesh` may be null (traced, pre-mesh
- * modules): mesh-axis existence and the replication-based redundancy
- * warnings then stay off.
+ * Lints every function of `module`, which must verify. `mesh` may be null
+ * (traced, pre-mesh modules): the replication-based redundancy warnings
+ * then stay off.
  */
 void LintModule(const Module& module, const Mesh* mesh,
                 AnalysisReport& report);

@@ -133,9 +133,9 @@ class Executable {
   // ---- Inspection ----
 
   /**
-   * Runs the static analysis suite (src/analysis/: structural lint, shape
-   * consistency, collective deadlock/mismatch detection, memory-plan
-   * verification) over the CURRENT device-local module and compiled
+   * Runs the static analysis suite (src/analysis/: the IR verifier, lint,
+   * collective deadlock/mismatch detection, memory-plan verification)
+   * over the CURRENT device-local module and compiled
    * program, so it reflects any backend mutation through mutable_spmd().
    * Never fails: problems (including a module that no longer compiles)
    * come back as diagnostics in the report.

@@ -3,6 +3,7 @@
 #include "src/interp/interpreter.h"
 #include "src/ir/fingerprint.h"
 #include "src/ir/printer.h"
+#include "src/ir/verifier.h"
 #include "src/persist/serializer.h"
 #include "src/persist/store.h"
 
@@ -110,6 +111,11 @@ StatusOr<Program> Program::Load(const std::string& path) {
                           persist::DeserializeModule(payload));
   if (module->funcs().empty()) {
     return DataLossError("program file ", path, " holds an empty module");
+  }
+  std::vector<std::string> diags = Verify(*module);
+  if (!diags.empty()) {
+    return DataLossError("program file ", path,
+                         " does not verify: ", diags.front());
   }
   Program loaded((CaptureTag()));
   loaded.module_ = std::move(module);

@@ -146,7 +146,8 @@ class Program {
 
   /**
    * Rebuilds a Program from a Save file. Typed failures: kNotFound for a
-   * missing file or a foreign/stale frame, kDataLoss for a damaged one.
+   * missing file or a foreign/stale frame, kDataLoss for a damaged one or
+   * one whose module does not verify.
    * The batch-parameterized serving builder is code, not data, and does not
    * survive a round trip: a loaded program is partitionable and runnable
    * but not servable.

@@ -305,9 +305,9 @@ OpShardingSpec GetShardingSpec(const Operation& op) {
       return spec;
     }
     case OpKind::kStaticSlice: {
-      // Dims taken in full propagate; genuinely sliced dims are blocked
-      // (the runtime reads `starts` + the local result shape, so a tiled
-      // full dim stays consistent device-locally).
+      // Dims taken in full propagate; genuinely sliced dims are blocked. A
+      // tiled full dim gets device-local bounds where the op is emitted at
+      // its local type (CopyLocalAttrs).
       OpShardingSpec spec;
       const auto& starts = op.attrs().Get<std::vector<int64_t>>("starts");
       const auto& limits = op.attrs().Get<std::vector<int64_t>>("limits");
@@ -369,6 +369,16 @@ bool IsNormalizationOutputImpl(const Value* v, int depth) {
 }
 
 }  // namespace
+
+void CopyLocalAttrs(const Operation& src, Operation& clone) {
+  clone.attrs() = src.attrs();
+  if (src.kind() != OpKind::kStaticSlice) return;
+  std::vector<int64_t> limits =
+      src.attrs().Get<std::vector<int64_t>>("starts");
+  const std::vector<int64_t>& dims = clone.result()->tensor_type().dims();
+  for (size_t d = 0; d < limits.size(); ++d) limits[d] += dims[d];
+  clone.attrs().Set("limits", std::move(limits));
+}
 
 bool IsNormalizationOutput(const Value* v) {
   return IsNormalizationOutputImpl(v, 0);

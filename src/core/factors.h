@@ -70,6 +70,15 @@ struct OpShardingSpec {
 OpShardingSpec GetShardingSpec(const Operation& op);
 
 /**
+ * Copies `src`'s attributes onto `clone`, a copy of `src` emitted at its
+ * device-local result type (SPMD lowering, loop-form materialization).
+ * Only a static_slice's attributes depend on its result's size: the dims it
+ * may be tiled on are the ones it takes in full, so its bounds become
+ * device-local, limits = starts + the local result dims.
+ */
+void CopyLocalAttrs(const Operation& src, Operation& clone);
+
+/**
  * Value-provenance queries used to classify propagation realization
  * boundaries (PartitionContext::SetRealizationPolicy). They are purely
  * structural — they walk defining ops, never sharding state — so the cost

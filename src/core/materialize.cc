@@ -51,9 +51,7 @@ class Materializer {
     if (op.num_results() == 1) result_types.push_back(result_type);
     auto clone = std::make_unique<Operation>(op.kind(), std::move(operands),
                                              std::move(result_types));
-    for (const auto& [name, attr] : op.attrs().raw()) {
-      clone->attrs().Set(name, attr);
-    }
+    CopyLocalAttrs(op, *clone);
     if (op.num_results() == 1) {
       clone->result()->set_name(op.result()->name());
     }

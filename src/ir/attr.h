@@ -32,24 +32,26 @@ class AttrMap {
 
   bool Has(const std::string& name) const { return attrs_.count(name) > 0; }
 
+  /** The attribute as a T, or null when it is missing or of another type:
+   *  the abort-free read for IR that has not been verified yet. */
+  template <typename T>
+  const T* Find(const std::string& name) const {
+    auto it = attrs_.find(name);
+    return it == attrs_.end() ? nullptr : std::get_if<T>(&it->second);
+  }
+
+  /** The attribute of verified IR; aborts when it is missing or mistyped. */
   template <typename T>
   const T& Get(const std::string& name) const {
-    auto it = attrs_.find(name);
-    PARTIR_CHECK(it != attrs_.end()) << "missing attribute '" << name << "'";
-    const T* value = std::get_if<T>(&it->second);
+    const T* value = Find<T>(name);
     PARTIR_CHECK(value != nullptr)
-        << "attribute '" << name << "' has a different type";
+        << "attribute '" << name << "' is missing or not of the type read";
     return *value;
   }
 
   template <typename T>
   T GetOr(const std::string& name, T fallback) const {
-    auto it = attrs_.find(name);
-    if (it == attrs_.end()) return fallback;
-    const T* value = std::get_if<T>(&it->second);
-    PARTIR_CHECK(value != nullptr)
-        << "attribute '" << name << "' has a different type";
-    return *value;
+    return Has(name) ? Get<T>(name) : fallback;
   }
 
   const std::map<std::string, Attr>& raw() const { return attrs_; }

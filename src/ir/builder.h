@@ -1,15 +1,20 @@
 /**
  * @file
- * OpBuilder: typed creation helpers with shape inference for every op kind.
- * This is the API model-zoo builders and compiler passes use to construct IR.
+ * OpBuilder: typed creation helpers for every op kind. Each helper builds
+ * its op through the kind's typing rule (InferResultType, infer.h), which
+ * derives the result type. This is the API model-zoo builders and compiler
+ * passes use to construct IR.
  */
 #ifndef PARTIR_IR_BUILDER_H_
 #define PARTIR_IR_BUILDER_H_
 
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/ir/ir.h"
+#include "src/mesh/mesh.h"
 
 namespace partir {
 
@@ -22,16 +27,15 @@ class OpBuilder {
   void SetInsertionBlock(Block* block) { block_ = block; }
 
   /**
-   * Provides mesh-axis sizes, required for building collectives whose result
-   * shapes depend on axis sizes (all_slice / all_gather / ...).
+   * Provides the mesh (which must outlive the builder's use), required for
+   * building collectives whose result shapes depend on axis sizes
+   * (all_slice / all_gather / reduce_scatter / all_to_all).
    */
-  void SetAxisSizeFn(std::function<int64_t(const std::string&)> fn) {
-    axis_size_ = std::move(fn);
-  }
+  void SetMesh(const Mesh* mesh) { mesh_ = mesh; }
 
   // ---- Generic creation ----
 
-  /** Creates an op with explicit result types (no inference). */
+  /** Creates an op with explicit result types (no typing rule). */
   Operation* Create(OpKind kind, std::vector<Value*> operands,
                     std::vector<Type> result_types);
 
@@ -140,7 +144,8 @@ class OpBuilder {
   /**
    * Creates `loop axis [action] (%r: range<size>) { ... }`.
    * action is "tile" (with tile_dim), "sum", or "any"; the caller populates
-   * the region body and terminates it with Yield.
+   * the region body and terminates it with Yield. The loop's type follows
+   * from its yield, so the verifier, not this helper, checks it.
    */
   Operation* Loop(const std::string& axis, int64_t axis_size,
                   const std::string& action, int64_t tile_dim,
@@ -160,23 +165,23 @@ class OpBuilder {
   Value* AllToAll(Value* operand, int64_t slice_dim, int64_t concat_dim,
                   std::vector<std::string> axes);
 
-  /**
-   * Computes the device-local shape produced by slicing each dim by the
-   * total size of its axes. `axis_size` resolves an axis name to its size.
-   */
-  static std::vector<int64_t> LocalDims(
-      const std::vector<int64_t>& dims, const AxesPerDim& axes,
-      const std::function<int64_t(const std::string&)>& axis_size);
-
  private:
-  Value* AppendOp(OpKind kind, std::vector<Value*> operands, Type result_type);
+  /**
+   * Appends a one-result op whose type is InferResultType's; `declared` is
+   * the result of the kinds that declare theirs (constant, iota, reshape,
+   * broadcast_in_dim, the convolution gradients). An ill-typed op aborts:
+   * the helpers' callers construct IR, so it is a programming error.
+   */
+  Value* Build(OpKind kind, std::vector<Value*> operands,
+               std::initializer_list<std::pair<const char*, Attr>> attrs,
+               Type declared = Type());
   /** Broadcasts a reduced value back to target_dims (reduced dims of size 1
    *  re-inserted at `removed_dims`). */
   Value* BroadcastBack(Value* reduced, const std::vector<int64_t>& target_dims,
                        const std::vector<int64_t>& removed_dims);
 
   Block* block_;
-  std::function<int64_t(const std::string&)> axis_size_;
+  const Mesh* mesh_ = nullptr;
 };
 
 }  // namespace partir

@@ -2,208 +2,146 @@
 
 #include <unordered_set>
 
+#include "src/ir/infer.h"
 #include "src/support/str_util.h"
 
 namespace partir {
 namespace {
 
+using ErrorFn = std::function<void(const std::string&, const std::string&)>;
+
 class VerifierState {
  public:
-  explicit VerifierState(std::vector<std::string>* diags) : diags_(diags) {}
+  VerifierState(const Mesh* mesh, ErrorFn error)
+      : mesh_(mesh), error_(std::move(error)) {}
 
-  void Error(const std::string& message) { diags_->push_back(message); }
+  void VerifyFunc(const Func& func) {
+    if (func.body().num_ops() == 0 ||
+        func.body().terminator()->kind() != OpKind::kReturn) {
+      error_(StrCat("func @", func.name()), "must end in return");
+      return;
+    }
+    VerifyBlock(func.body(), /*depth=*/0, "");
+  }
 
-  /** Verifies `block` and the regions nested in it. A block's arguments
-   *  and results join the one visible set as the walk reaches them and
-   *  leave it when the walk leaves the block, so a region sees every
-   *  enclosing definition but none of its own values outlive it. */
-  void VerifyBlock(const Block& block) {
+ private:
+  /** Verifies `block` and the regions nested in it (`depth` deep in loop
+   *  regions; `prefix` locates the enclosing op). A block's arguments and
+   *  results join the one visible set as the walk reaches them and leave
+   *  it when the walk leaves the block, so a region sees every enclosing
+   *  definition but none of its own values outlive it. */
+  void VerifyBlock(const Block& block, int depth, const std::string& prefix) {
     std::vector<const Value*> defined;  // what this block added to visible_
     auto define = [&](const Value* value) {
       if (visible_.insert(value).second) defined.push_back(value);
     };
     for (const auto& arg : block.args()) define(arg.get());
-    for (const auto& op : block.ops()) {
-      for (const Value* operand : op->operands()) {
+    for (int i = 0; i < block.num_ops(); ++i) {
+      const Operation& op = *block.ops()[i];
+      auto error = [&](const std::string& message) {
+        error_(StrCat(prefix, OpLocation(i, op)), message);
+      };
+      for (const Value* operand : op.operands()) {
         if (!visible_.count(operand)) {
-          Error(StrCat("op '", OpKindName(op->kind()),
-                       "' uses value not dominating it"));
+          error("uses a value not dominating it");
         }
       }
-      VerifyOp(*op);
-      for (int r = 0; r < op->num_regions(); ++r) {
-        VerifyBlock(op->region(r).block());
+      VerifyPlacement(op, depth, i == block.num_ops() - 1, error);
+      VerifyType(op, error);
+      for (int r = 0; r < op.num_regions(); ++r) {
+        VerifyBlock(op.region(r).block(), depth + 1,
+                    StrCat(prefix, OpLocation(i, op), ", "));
       }
-      for (int i = 0; i < op->num_results(); ++i) define(op->result(i));
+      for (int r = 0; r < op.num_results(); ++r) define(op.result(r));
     }
     for (const Value* value : defined) visible_.erase(value);
   }
 
-  void VerifyOp(const Operation& op) {
-    OpKind kind = op.kind();
-    auto expect_operands = [&](int n) {
-      if (op.num_operands() != n) {
-        Error(StrCat("op '", OpKindName(kind), "' expects ", n,
-                     " operands, got ", op.num_operands()));
-        return false;
-      }
-      return true;
-    };
-    if (IsUnaryElementwise(kind)) {
-      if (expect_operands(1) &&
-          op.operand(0)->type() != op.result()->type()) {
-        Error(StrCat("unary elementwise type mismatch on ",
-                     OpKindName(kind)));
-      }
-      return;
-    }
-    if (IsBinaryElementwise(kind)) {
-      if (expect_operands(2) &&
-          (op.operand(0)->type() != op.operand(1)->type() ||
-           op.operand(0)->type() != op.result()->type())) {
-        Error(StrCat("binary elementwise type mismatch on ",
-                     OpKindName(kind)));
-      }
-      return;
-    }
-    switch (kind) {
-      case OpKind::kConstant:
-        if (!op.attrs().Has("splat") && !op.attrs().Has("data")) {
-          Error("constant without splat or data attribute");
+  template <typename Error>
+  static void VerifyPlacement(const Operation& op, int depth,
+                              bool is_terminator, const Error& error) {
+    switch (op.kind()) {
+      case OpKind::kReturn:
+        if (depth > 0) {
+          error("return inside a loop region");
+        } else if (!is_terminator) {
+          error("return before the end of the function body");
         }
         break;
-      case OpKind::kDot: {
-        if (!expect_operands(2)) break;
-        const auto& lc = op.attrs().Get<std::vector<int64_t>>("lhs_contract");
-        const auto& rc = op.attrs().Get<std::vector<int64_t>>("rhs_contract");
-        const TensorType& lt = op.operand(0)->tensor_type();
-        const TensorType& rt = op.operand(1)->tensor_type();
-        for (size_t i = 0; i < lc.size(); ++i) {
-          if (lt.dim(lc[i]) != rt.dim(rc[i])) {
-            Error("dot contracting dims disagree");
-          }
+      case OpKind::kYield:
+        if (depth == 0) {
+          error("yield outside a loop region");
+        } else if (!is_terminator) {
+          error("yield before the end of its region");
         }
         break;
-      }
-      case OpKind::kLoop: {
-        if (op.num_regions() != 1) {
-          Error("loop must have exactly one region");
-          break;
-        }
-        const Block& body = op.region(0).block();
-        if (body.num_args() != 1 || !body.arg(0)->type().IsRange()) {
-          Error("loop body must take a single range argument");
-          break;
-        }
-        if (body.num_ops() == 0 ||
-            body.terminator()->kind() != OpKind::kYield) {
-          Error("loop body must end in yield");
-          break;
-        }
-        const Operation* yield = body.terminator();
-        if (yield->num_operands() != op.num_results()) {
-          Error("loop yield arity mismatch");
-          break;
-        }
-        // Type relation: tile multiplies the tiled dim by the range size;
-        // sum/any keep the type.
-        const std::string& action = op.attrs().Get<std::string>("action");
-        const TensorType& yt = yield->operand(0)->tensor_type();
-        const TensorType& rt = op.result()->tensor_type();
-        int64_t range = body.arg(0)->type().range().size();
-        if (action == "tile") {
-          int64_t dim = op.attrs().Get<int64_t>("tile_dim");
-          std::vector<int64_t> expect = yt.dims();
-          if (dim >= static_cast<int64_t>(expect.size())) {
-            Error("loop tile_dim out of range");
-            break;
-          }
-          expect[dim] *= range;
-          if (expect != rt.dims()) {
-            Error(StrCat("loop tile type mismatch: yielded ", yt.ToString(),
-                         " result ", rt.ToString()));
-          }
-        } else if (action == "sum" || action == "any") {
-          if (yt != rt) Error("loop sum/any type mismatch");
-        } else {
-          Error(StrCat("unknown loop action '", action, "'"));
-        }
+      case OpKind::kPSlice:
+        if (depth == 0) error("slice outside a loop region");
         break;
-      }
-      case OpKind::kPSlice: {
-        if (!expect_operands(2)) break;
-        if (!op.operand(1)->type().IsRange()) {
-          Error("slice second operand must be a range");
-          break;
-        }
-        int64_t dim = op.attrs().Get<int64_t>("dim");
-        const TensorType& in = op.operand(0)->tensor_type();
-        const TensorType& out = op.result()->tensor_type();
-        int64_t range = op.operand(1)->type().range().size();
-        if (in.dim(dim) != out.dim(dim) * range) {
-          Error("slice result dim inconsistent with range size");
-        }
-        break;
-      }
-      case OpKind::kAllReduce:
-        if (expect_operands(1) &&
-            op.operand(0)->type() != op.result()->type()) {
-          Error("all_reduce must preserve type");
-        }
-        break;
-      case OpKind::kAllSlice:
-      case OpKind::kAllGather:
-      case OpKind::kReduceScatter: {
-        if (!expect_operands(1)) break;
-        const auto& axes = op.attrs().Get<AxesPerDim>("axes_per_dim");
-        if (static_cast<int>(axes.size()) !=
-            op.operand(0)->tensor_type().rank()) {
-          Error(StrCat(OpKindName(kind), " axes_per_dim rank mismatch"));
-        }
-        break;
-      }
       default:
+        if (IsCollective(op.kind()) && depth > 0) {
+          error("collective inside a loop region");
+        }
         break;
+    }
+    if (op.num_regions() > 0 && op.kind() != OpKind::kLoop) {
+      error("only loop ops may carry regions");
     }
   }
 
- private:
-  std::vector<std::string>* diags_;
+  template <typename Error>
+  void VerifyType(const Operation& op, const Error& error) const {
+    if (op.kind() == OpKind::kReturn || op.kind() == OpKind::kYield) {
+      if (op.num_results() != 0) error("a terminator has no results");
+      return;
+    }
+    StatusOr<Type> type = InferResultType(op, mesh_);
+    if (!type.ok()) {
+      error(type.status().message());
+    } else if (type.value() != op.result()->type()) {
+      error(StrCat("declares ", op.result()->type().ToString(),
+                   " but its typing rule gives ", type.value().ToString()));
+    }
+  }
+
+  const Mesh* mesh_;
+  ErrorFn error_;
   std::unordered_set<const Value*> visible_;  // definitions in scope
 };
 
-}  // namespace
-
-namespace {
-
-void VerifyFuncInto(const Func& func, std::vector<std::string>& diags) {
-  VerifierState state(&diags);
-  if (func.body().num_ops() == 0 ||
-      func.body().terminator()->kind() != OpKind::kReturn) {
-    diags.push_back(StrCat("func @", func.name(), " must end in return"));
-    return;
-  }
-  state.VerifyBlock(func.body());
+/** An error callback appending "location: message" to `diags`. */
+ErrorFn Collect(std::vector<std::string>& diags) {
+  return [&diags](const std::string& location, const std::string& message) {
+    diags.push_back(StrCat(location, ": ", message));
+  };
 }
 
 }  // namespace
 
-std::vector<std::string> Verify(const Module& module) {
-  std::vector<std::string> diags;
+std::string OpLocation(int index, const Operation& op) {
+  return StrCat("op ", index, " (", OpKindName(op.kind()), ")");
+}
+
+void VerifyEach(const Module& module, const Mesh* mesh, const ErrorFn& error) {
   for (const auto& func : module.funcs()) {
-    VerifyFuncInto(*func, diags);
+    VerifierState(mesh, error).VerifyFunc(*func);
   }
-  return diags;
 }
 
-std::vector<std::string> Verify(const Func& func) {
+std::vector<std::string> Verify(const Module& module, const Mesh* mesh) {
   std::vector<std::string> diags;
-  VerifyFuncInto(func, diags);
+  VerifyEach(module, mesh, Collect(diags));
   return diags;
 }
 
-void VerifyOrDie(const Module& module) {
-  std::vector<std::string> diags = Verify(module);
+std::vector<std::string> Verify(const Func& func, const Mesh* mesh) {
+  std::vector<std::string> diags;
+  VerifierState(mesh, Collect(diags)).VerifyFunc(func);
+  return diags;
+}
+
+void VerifyOrDie(const Module& module, const Mesh* mesh) {
+  std::vector<std::string> diags = Verify(module, mesh);
   if (!diags.empty()) {
     PARTIR_CHECK(false) << "module verification failed:\n"
                         << StrJoin(diags, "\n");

@@ -10,8 +10,8 @@ int64_t PipelineState::CurrentOpCount() const {
 }
 
 std::vector<std::string> PipelineState::VerifyCurrent() const {
-  if (lowered) return Verify(*result.spmd.module);
-  return Verify(*ctx.func());
+  if (lowered) return Verify(*result.spmd.module, &result.spmd.mesh);
+  return Verify(*ctx.func(), &ctx.mesh());
 }
 
 }  // namespace partir

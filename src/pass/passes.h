@@ -110,7 +110,7 @@ class CompileDeviceProgramsPass : public Pass {
   Status Run(PipelineState& state) override;
 };
 
-/** Runs the static analysis suite (src/analysis/: lint, shape consistency,
+/** Runs the static analysis suite (src/analysis/: the IR verifier, lint,
  *  collective deadlock/mismatch detection, memory-plan verification) over
  *  the final lowered module + compiled program. The report lands in
  *  result.analysis; errors fail the pipeline with a typed kInternal Status

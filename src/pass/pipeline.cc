@@ -111,7 +111,7 @@ StatusOr<std::unique_ptr<Module>> ReplayLoopForm(
   PipelineState state(ctx, schedule, options, replay_result);
   PARTIR_RETURN_IF_ERROR(manager.Run(state));
   std::unique_ptr<Module> loops = MaterializeLoops(ctx);
-  std::vector<std::string> diags = Verify(*loops);
+  std::vector<std::string> diags = Verify(*loops, &ctx.mesh());
   if (!diags.empty()) {
     return InternalError("loop form after ", count,
                          " tactic(s) failed verification: ",

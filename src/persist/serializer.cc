@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/exec/device_program.h"
+#include "src/ir/verifier.h"
 #include "src/spmd/collectives.h"
 
 namespace partir {
@@ -135,10 +136,14 @@ Type ReadType(ByteReader& reader) {
     uint64_t rank = ReadCount(reader, "tensor dim");
     std::vector<int64_t> dims;
     dims.reserve(rank);
+    // Every prefix product of the dims, times the widest dtype's 4 bytes,
+    // must fit in int64_t, so NumElements and ByteSize cannot overflow.
+    int64_t bytes = 4;
     for (uint64_t i = 0; i < rank && reader.ok(); ++i) {
       int64_t dim = reader.ReadI64();
-      if (dim < 0) {
-        reader.Corrupt(StrCat("negative tensor dim ", dim));
+      if (dim < 0 || __builtin_mul_overflow(bytes, dim, &bytes)) {
+        reader.Corrupt(StrCat("tensor dim ", dim,
+                              " is negative or overflows the byte size"));
         return Type();
       }
       dims.push_back(dim);
@@ -407,11 +412,14 @@ Mesh ReadMesh(ByteReader& reader) {
   uint64_t num_axes = ReadCount(reader, "mesh axis");
   std::vector<MeshAxis> axes;
   axes.reserve(num_axes);
+  int64_t devices = 1;
   for (uint64_t i = 0; i < num_axes && reader.ok(); ++i) {
     std::string name = reader.ReadStr();
     int64_t size = reader.ReadI64();
-    if (reader.ok() && size < 1) {
-      reader.Corrupt(StrCat("mesh axis '", name, "' has size ", size));
+    if (reader.ok() &&
+        (size < 1 || __builtin_mul_overflow(devices, size, &devices))) {
+      reader.Corrupt(StrCat("mesh axis '", name, "' has size ", size,
+                            ", or overflows the device count"));
       return Mesh();
     }
     axes.push_back(MeshAxis{std::move(name), size});
@@ -588,15 +596,6 @@ StatusOr<PartitionResult> DeserializePartitionResult(
   if (reader.ok() && result.spmd.module->funcs().empty()) {
     reader.Corrupt("SPMD module has no functions");
   }
-  if (reader.ok()) {
-    // The runtime walks main()'s terminator unconditionally; reject a
-    // module that would abort there instead of erroring.
-    const Func* main = result.spmd.module->funcs().front().get();
-    if (main->body().num_ops() == 0 ||
-        main->body().ops().back()->kind() != OpKind::kReturn) {
-      reader.Corrupt("SPMD main function is not return-terminated");
-    }
-  }
   result.spmd.mesh = ReadMesh(reader);
   uint64_t num_inputs = ReadCount(reader, "input sharding");
   for (uint64_t i = 0; i < num_inputs && reader.ok(); ++i) {
@@ -686,6 +685,22 @@ StatusOr<PartitionResult> DeserializePartitionResult(
   if (reader.remaining() != 0) {
     return DataLossError("trailing garbage: ", reader.remaining(),
                          " bytes after result payload");
+  }
+
+  // A checksummed payload can still carry crafted IR: verify it and its
+  // shardings over its mesh before anything reads its attributes, sizes
+  // its collectives or shards an input.
+  std::vector<std::string> diags =
+      Verify(*result.spmd.module, &result.spmd.mesh);
+  if (diags.empty()) {
+    VerifyShardings(result.spmd, [&](const std::string& where,
+                                     const std::string& message) {
+      diags.push_back(StrCat(where, ": ", message));
+    });
+  }
+  if (!diags.empty()) {
+    return DataLossError("saved SPMD module does not verify: ",
+                         diags.front());
   }
 
   // Rebuild the process-local derived state the pipeline's last passes

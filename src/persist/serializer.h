@@ -110,7 +110,9 @@ std::string SerializePartitionResult(const PartitionResult& result);
  * rebuilt, and when the saved result carried a compiled device program one
  * is recompiled from the deserialized module (best-effort: a module the
  * compiled backend cannot cover loads with a null program, which every
- * runtime path treats as "compile ad hoc"). kDataLoss on corrupt input.
+ * runtime path treats as "compile ad hoc"). kDataLoss on corrupt input,
+ * including a well-formed payload whose module does not verify over its
+ * mesh.
  */
 StatusOr<PartitionResult> DeserializePartitionResult(
     const std::string& bytes);

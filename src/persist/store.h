@@ -37,8 +37,10 @@ namespace persist {
  *  v2: PartitionResult carries the static-analysis report and the pipeline
  *  analysis counts.
  *  v3: PartitionResult no longer carries stage snapshots.
- *  v4: TacticReport no longer carries collective counts or an estimate. */
-inline constexpr uint32_t kFormatVersion = 4;
+ *  v4: TacticReport no longer carries collective counts or an estimate.
+ *  v5: SPMD static_slice bounds are device-local, and the static-analysis
+ *      report names the verifier stage. */
+inline constexpr uint32_t kFormatVersion = 5;
 
 /** What an entry's payload contains. Stored in the header so a file saved
  *  through one facade cannot be misinterpreted by another. */

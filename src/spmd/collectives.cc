@@ -88,19 +88,6 @@ Tensor ApplySliceSteps(const Tensor& value,
   return out;
 }
 
-bool IsCollectiveKind(OpKind kind) {
-  switch (kind) {
-    case OpKind::kAllSlice:
-    case OpKind::kAllGather:
-    case OpKind::kAllReduce:
-    case OpKind::kReduceScatter:
-    case OpKind::kAllToAll:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::vector<std::string> FlattenAxesPerDim(const AxesPerDim& axes_per_dim) {
   std::vector<std::string> flat;
   for (const auto& list : axes_per_dim) {
@@ -110,22 +97,6 @@ std::vector<std::string> FlattenAxesPerDim(const AxesPerDim& axes_per_dim) {
 }
 
 namespace {
-
-/** Abort-free attribute read: typed error when missing or mistyped. */
-template <typename T>
-StatusOr<T> SafeAttr(const Operation& op, const std::string& name) {
-  auto it = op.attrs().raw().find(name);
-  if (it == op.attrs().raw().end()) {
-    return InvalidArgumentError(OpKindName(op.kind()),
-                                ": missing attribute '", name, "'");
-  }
-  const T* value = std::get_if<T>(&it->second);
-  if (value == nullptr) {
-    return InvalidArgumentError(OpKindName(op.kind()), ": attribute '", name,
-                                "' has the wrong type");
-  }
-  return *value;
-}
 
 /** This device's (dim, chunk, count) steps for an all_slice-style slice. */
 std::vector<SliceStep> SliceStepsForCoords(
@@ -163,59 +134,42 @@ std::shared_ptr<const CollectivePlan> BuildCollectivePlan(
 
   for (const auto& func : module.funcs()) {
     WalkOps(func->body(), [&](const Operation& op) {
-      if (!IsCollectiveKind(op.kind())) return;
+      if (!IsCollective(op.kind())) return;
       CollectiveOp col;
       col.kind = op.kind();
-      switch (op.kind()) {
-        case OpKind::kAllSlice: {
-          col.axes_per_dim = op.attrs().Get<AxesPerDim>("axes_per_dim");
-          for (int64_t d = 0; d < mesh.NumDevices(); ++d) {
-            col.slice_steps_per_device.push_back(SliceStepsForCoords(
-                col.axes_per_dim, mesh, mesh.Coordinates(d)));
-          }
-          break;
+      if (const auto* axes = op.attrs().Find<AxesPerDim>("axes_per_dim")) {
+        col.axes_per_dim = *axes;
+      }
+      if (const auto* reduction = op.attrs().Find<std::string>("reduction")) {
+        col.is_max = *reduction == "max";
+      }
+      if (op.kind() == OpKind::kAllSlice) {
+        for (int64_t d = 0; d < mesh.NumDevices(); ++d) {
+          col.slice_steps_per_device.push_back(SliceStepsForCoords(
+              col.axes_per_dim, mesh, mesh.Coordinates(d)));
         }
-        case OpKind::kAllGather: {
-          col.axes_per_dim = op.attrs().Get<AxesPerDim>("axes_per_dim");
-          col.groups = groups_for(FlattenAxesPerDim(col.axes_per_dim));
-          break;
-        }
-        case OpKind::kAllReduce: {
-          col.is_max = op.attrs().Get<std::string>("reduction") == "max";
-          col.groups = groups_for(
-              op.attrs().Get<std::vector<std::string>>("axes"));
-          break;
-        }
-        case OpKind::kReduceScatter: {
-          col.axes_per_dim = op.attrs().Get<AxesPerDim>("axes_per_dim");
-          col.is_max = op.attrs().Get<std::string>("reduction") == "max";
-          col.groups = groups_for(FlattenAxesPerDim(col.axes_per_dim));
-          // Each position's chunk of the reduced value: its coordinates
-          // along the group axes, in the listed (outer-first) order.
-          for (int64_t p = 0; p < col.groups->group_size; ++p) {
-            std::vector<SliceStep> steps;
-            for (size_t dim = 0; dim < col.axes_per_dim.size(); ++dim) {
-              for (const std::string& axis : col.axes_per_dim[dim]) {
-                int axis_index = col.groups->AxisIndex(axis);
-                steps.push_back(
-                    SliceStep{static_cast<int64_t>(dim),
-                              col.groups->CoordOf(p, axis_index),
-                              col.groups->axis_sizes[axis_index]});
-              }
+      } else {
+        col.groups = groups_for(CollectiveGroupAxes(op));
+      }
+      if (op.kind() == OpKind::kReduceScatter) {
+        // Each position's chunk of the reduced value: its coordinates
+        // along the group axes, in the listed (outer-first) order.
+        for (int64_t p = 0; p < col.groups->group_size; ++p) {
+          std::vector<SliceStep> steps;
+          for (size_t dim = 0; dim < col.axes_per_dim.size(); ++dim) {
+            for (const std::string& axis : col.axes_per_dim[dim]) {
+              int axis_index = col.groups->AxisIndex(axis);
+              steps.push_back(SliceStep{static_cast<int64_t>(dim),
+                                        col.groups->CoordOf(p, axis_index),
+                                        col.groups->axis_sizes[axis_index]});
             }
-            col.slice_steps_per_position.push_back(std::move(steps));
           }
-          break;
+          col.slice_steps_per_position.push_back(std::move(steps));
         }
-        case OpKind::kAllToAll: {
-          col.slice_dim = op.attrs().Get<int64_t>("slice_dim");
-          col.concat_dim = op.attrs().Get<int64_t>("concat_dim");
-          col.groups = groups_for(
-              op.attrs().Get<std::vector<std::string>>("axes"));
-          break;
-        }
-        default:
-          PARTIR_UNREACHABLE("not a collective");
+      }
+      if (op.kind() == OpKind::kAllToAll) {
+        col.slice_dim = op.attrs().Get<int64_t>("slice_dim");
+        col.concat_dim = op.attrs().Get<int64_t>("concat_dim");
       }
       plan->ops.emplace(&op, std::move(col));
     });
@@ -223,23 +177,11 @@ std::shared_ptr<const CollectivePlan> BuildCollectivePlan(
   return plan;
 }
 
-StatusOr<std::vector<std::string>> CollectiveGroupAxes(const Operation& op) {
-  switch (op.kind()) {
-    case OpKind::kAllSlice:
-    case OpKind::kAllGather:
-    case OpKind::kReduceScatter: {
-      PARTIR_ASSIGN_OR_RETURN(
-          AxesPerDim axes_per_dim,
-          SafeAttr<AxesPerDim>(op, "axes_per_dim"));
-      return FlattenAxesPerDim(axes_per_dim);
-    }
-    case OpKind::kAllReduce:
-    case OpKind::kAllToAll:
-      return SafeAttr<std::vector<std::string>>(op, "axes");
-    default:
-      return InvalidArgumentError(OpKindName(op.kind()),
-                                  " is not a collective");
+std::vector<std::string> CollectiveGroupAxes(const Operation& op) {
+  if (const auto* axes = op.attrs().Find<AxesPerDim>("axes_per_dim")) {
+    return FlattenAxesPerDim(*axes);
   }
+  return op.attrs().Get<std::vector<std::string>>("axes");
 }
 
 namespace {

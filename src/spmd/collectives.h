@@ -99,24 +99,19 @@ struct CollectivePlan {
   std::map<const Operation*, CollectiveOp> ops;
 };
 
-/** True for the five SPMD collective op kinds. */
-bool IsCollectiveKind(OpKind kind);
-
 /** Flattens per-dim axis lists in (dim, list-order) order. */
 std::vector<std::string> FlattenAxesPerDim(const AxesPerDim& axes_per_dim);
 
 /**
- * The replica-group mesh axes of a collective op, as BuildCollectivePlan
- * would group it (all_slice included: its flattened axes_per_dim, though it
- * is communication-free). Unlike the plan builder — which PARTIR_CHECKs —
- * this returns a typed error on a missing or mistyped attribute, so static
- * analysis can run over corrupted programs without aborting.
+ * The replica-group mesh axes of a verified collective op, as
+ * BuildCollectivePlan would group it (all_slice included: its flattened
+ * axes_per_dim, though it is communication-free).
  */
-StatusOr<std::vector<std::string>> CollectiveGroupAxes(const Operation& op);
+std::vector<std::string> CollectiveGroupAxes(const Operation& op);
 
 /**
- * Builds the plan for every collective in `module` over `mesh`. Replica
- * groups are shared between ops with the same group axes.
+ * Builds the plan for every collective in `module`, which must verify over
+ * `mesh`. Replica groups are shared between ops with the same group axes.
  */
 std::shared_ptr<const CollectivePlan> BuildCollectivePlan(
     const Mesh& mesh, const Module& module);

@@ -24,6 +24,47 @@ AxesPerDim TilesToAxesPerDim(const std::vector<ValueTile>& tiles, int rank) {
   return axes;
 }
 
+void VerifyShardings(
+    const SpmdModule& spmd,
+    const std::function<void(const std::string&, const std::string&)>&
+        error) {
+  auto check = [&](const std::string& where,
+                   const std::vector<ValueSharding>& shardings,
+                   const std::vector<const Value*>& values) {
+    if (shardings.size() != values.size()) {
+      error(where, StrCat(shardings.size(), " sharding(s) for ",
+                          values.size(), " value(s)"));
+      return;
+    }
+    for (size_t i = 0; i < values.size(); ++i) {
+      const std::string at = StrCat(where, " ", i);
+      if (!values[i]->type().IsTensor()) {
+        error(at, "is not a tensor");
+        continue;
+      }
+      const AxesPerDim& axes = shardings[i].axes;
+      const int rank = values[i]->tensor_type().rank();
+      if (!axes.empty() && static_cast<int>(axes.size()) != rank) {
+        error(at, StrCat("sharding covers ", axes.size(),
+                         " dim(s), the value has rank ", rank));
+      }
+      for (const auto& dim_axes : axes) {
+        for (const std::string& axis : dim_axes) {
+          if (!spmd.mesh.HasAxis(axis)) {
+            error(at, StrCat("sharded along unknown mesh axis '", axis, "'"));
+          }
+        }
+      }
+    }
+  };
+  const Block& body = spmd.main()->body();
+  std::vector<const Value*> args(body.num_args());
+  for (int i = 0; i < body.num_args(); ++i) args[i] = body.arg(i);
+  const std::vector<Value*>& results = body.terminator()->operands();
+  check("input", spmd.input_shardings, args);
+  check("output", spmd.output_shardings, {results.begin(), results.end()});
+}
+
 namespace {
 
 class SpmdLowering {
@@ -35,9 +76,7 @@ class SpmdLowering {
     const Func& src = *ctx_.func();
     Func* dst = out_.module->AddFunc(src.name());
     builder_.SetInsertionBlock(&dst->body());
-    const Mesh& mesh = ctx_.mesh();
-    builder_.SetAxisSizeFn(
-        [&mesh](const std::string& axis) { return mesh.AxisSize(axis); });
+    builder_.SetMesh(&ctx_.mesh());
 
     for (const auto& arg : src.body().args()) {
       const TensorType& type = arg->tensor_type();
@@ -514,9 +553,7 @@ class SpmdLowering {
     }
     Operation* emitted = builder_.Create(op.kind(), std::move(local_operands),
                                          std::move(result_types));
-    for (const auto& [name, attr] : op.attrs().raw()) {
-      emitted->attrs().Set(name, attr);
-    }
+    CopyLocalAttrs(op, *emitted);
     PARTIR_CHECK(op.num_results() == 1);
     emitted->result()->set_name(op.result()->name());
     Value* result = emitted->result();

@@ -4,7 +4,9 @@
  * with PartIR:HLO mesh-axis collectives (Section 6 / Appendix C).
  *
  * The translation follows Appendix C's scheme: function arguments become
- * device-local shards; each operation executes on local shapes; slices of
+ * device-local shards; each operation executes on local shapes, with
+ * device-local attributes (a static_slice's bounds, CopyLocalAttrs), so the
+ * module verifies over its mesh like any other IR; slices of
  * replicated values become (communication-free) all_slice ops; #sum loop
  * axes become all_reduce; and whenever a value's realized placement differs
  * from the placement a use requires, a *redistribution* is inserted —
@@ -22,6 +24,7 @@
 #ifndef PARTIR_SPMD_LOWERING_H_
 #define PARTIR_SPMD_LOWERING_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -112,6 +115,17 @@ SpmdModule LowerToSpmd(const PartitionContext& ctx);
 
 /** Converts an ordered tile list into per-dimension axes lists. */
 AxesPerDim TilesToAxesPerDim(const std::vector<ValueTile>& tiles, int rank);
+
+/**
+ * Checks the shardings `spmd` records for its verified module: one per
+ * main argument and per result, each a tensor's, listing only mesh axes
+ * and, unless the value is replicated (no dims listed), one list per dim.
+ * Calls `error(where, message)` per finding; a lowered module has none.
+ */
+void VerifyShardings(
+    const SpmdModule& spmd,
+    const std::function<void(const std::string& where,
+                             const std::string& message)>& error);
 
 }  // namespace partir
 

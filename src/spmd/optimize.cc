@@ -57,9 +57,7 @@ class Peephole {
     Block& body = func->body();
     uses_ = CountUses(*func);
     builder_.SetInsertionBlock(&body);
-    const Mesh& mesh = spmd_.mesh;
-    builder_.SetAxisSizeFn(
-        [&mesh](const std::string& axis) { return mesh.AxisSize(axis); });
+    builder_.SetMesh(&spmd_.mesh);
     rewrites_ = 0;
     map_.clear();
     slice_cse_.clear();

@@ -2,8 +2,8 @@
 // serving workload must analyze clean, and every injected fault — skewed
 // collective sequence, mismatched signature, rendezvous cycle, forged
 // overlapping-slot plan, illegal in-place adoption, a strided kernel writing
-// an operand's slot or reading past one, shape skew, structural lint
-// breakage — must come back as a typed diagnostic, never a crash.
+// an operand's slot or reading past one, shape skew, missing attributes,
+// broken regions — must come back as a typed diagnostic, never a crash.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +13,6 @@
 #include "src/analysis/analyze.h"
 #include "src/analysis/collective_checker.h"
 #include "src/analysis/memory_checker.h"
-#include "src/analysis/shape_checker.h"
 #include "src/api/partir.h"
 #include "src/exec/device_program.h"
 #include "src/exec/memory_planner.h"
@@ -250,9 +249,9 @@ TEST(MemoryCheckerTest, StridedViewPastItsSlotIsFlagged) {
       << report.ToString();
 }
 
-// ---- Shape skew ----
+// ---- The verifier stage gates the other checkers ----
 
-TEST(ShapeCheckerTest, ForgedCollectiveShapeSkewIsDetected) {
+TEST(VerifierStageTest, ForgedCollectiveShapeSkewIsDetected) {
   // A hand-forged all_gather whose declared result kept the *local* shape
   // (it must grow by the gathered axis), and an all_slice whose dim is not
   // divisible by the slicing axis.
@@ -282,20 +281,12 @@ TEST(ShapeCheckerTest, ForgedCollectiveShapeSkewIsDetected) {
   spmd.input_shardings = {replicated, replicated};
   spmd.output_shardings = {replicated, replicated};
 
-  AnalysisReport report;
-  CheckShapes(spmd, report);
+  AnalysisReport report = analysis::AnalyzeSpmd(spmd);
   EXPECT_GE(report.errors(), 2) << report.ToString();
-  EXPECT_TRUE(report.HasChecker("shape-check")) << report.ToString();
-
-  // The full suite over the same skewed module: typed diagnostics, no crash.
-  AnalysisReport full = analysis::AnalyzeSpmd(spmd);
-  EXPECT_GT(full.errors(), 0);
-  EXPECT_TRUE(full.HasChecker("shape-check")) << full.ToString();
+  EXPECT_TRUE(report.HasChecker("ir-verify")) << report.ToString();
 }
 
-// ---- Structural lint ----
-
-TEST(LintTest, MissingCollectiveAttributesAreErrors) {
+TEST(VerifierStageTest, MissingCollectiveAttributesAreErrors) {
   Module module;
   Func* func = module.AddFunc("main");
   Value* x = func->body().AddArg(TensorType({4, 4}), "x");
@@ -308,10 +299,10 @@ TEST(LintTest, MissingCollectiveAttributesAreErrors) {
 
   AnalysisReport report = analysis::AnalyzeModule(module);
   EXPECT_GT(report.errors(), 0);
-  EXPECT_TRUE(report.HasChecker("ir-lint")) << report.ToString();
+  EXPECT_TRUE(report.HasChecker("ir-verify")) << report.ToString();
 }
 
-TEST(LintTest, LintErrorsSkipTheSemanticCheckers) {
+TEST(VerifierStageTest, VerifierErrorsSkipTheLaterCheckers) {
   SpmdModule spmd;
   spmd.module = std::make_unique<Module>();
   spmd.mesh = Mesh({{"B", 2}});
@@ -324,11 +315,60 @@ TEST(LintTest, LintErrorsSkipTheSemanticCheckers) {
 
   AnalysisReport report = analysis::AnalyzeSpmd(spmd);
   EXPECT_GT(report.errors(), 0);
-  EXPECT_TRUE(report.HasChecker("ir-lint")) << report.ToString();
-  // Only the lint ran; the shape/collective/memory checkers were skipped
-  // (their conclusions would be meaningless over broken structure).
+  EXPECT_TRUE(report.HasChecker("ir-verify")) << report.ToString();
+  // Only the verifier ran; lint and the collective/memory checkers were
+  // skipped (their conclusions would be meaningless over broken structure).
   ASSERT_EQ(report.checkers_run.size(), 1u) << report.ToString();
-  EXPECT_EQ(report.checkers_run[0], "lint");
+  EXPECT_EQ(report.checkers_run[0], "verify");
+}
+
+/** A module whose op 1 is a dot that lost every attribute. */
+void BuildAttributelessDot(Func* func) {
+  Value* x = func->body().AddArg(TensorType({4, 4}), "x");
+  OpBuilder builder(&func->body());
+  Value* y = builder.Neg(x);
+  Operation* dot = func->body().Append(std::make_unique<Operation>(
+      OpKind::kDot, std::vector<Value*>{y, y},
+      std::vector<Type>{Type(TensorType({4, 4}))}));
+  builder.Return({dot->result()});
+}
+
+TEST(VerifierStageTest, AttributelessDotIsATypedErrorNamingTheOp) {
+  // Traced and lowered alike: the dot's missing attributes are an
+  // "ir-verify" error located at "op 1 (dot)", never an abort.
+  Module module;
+  BuildAttributelessDot(module.AddFunc("main"));
+  SpmdModule spmd;
+  spmd.module = std::make_unique<Module>();
+  spmd.mesh = Mesh({{"B", 2}});
+  BuildAttributelessDot(spmd.module->AddFunc("main"));
+  for (const AnalysisReport& report :
+       {analysis::AnalyzeModule(module), analysis::AnalyzeSpmd(spmd)}) {
+    ASSERT_GT(report.errors(), 0) << report.ToString();
+    const analysis::Diagnostic& diag = report.diagnostics.front();
+    EXPECT_EQ(diag.checker_id, "ir-verify");
+    EXPECT_EQ(diag.location, "op 1 (dot)") << report.ToString();
+    EXPECT_NE(diag.message.find("lhs_contract"), std::string::npos)
+        << diag.message;
+    EXPECT_EQ(report.ToString().find("'%"), std::string::npos)
+        << report.ToString();
+  }
+}
+
+TEST(LintTest, WarningsNameOpsByIndexAndKind) {
+  // The second op of the body is dead: lint names it "op 1 (exp)".
+  Module module;
+  Func* func = module.AddFunc("main");
+  Value* x = func->body().AddArg(TensorType({4}), "x");
+  OpBuilder builder(&func->body());
+  Value* used = builder.Neg(x);
+  builder.Exp(x);
+  builder.Return({used});
+  AnalysisReport report = analysis::AnalyzeModule(module);
+  EXPECT_EQ(report.errors(), 0) << report.ToString();
+  ASSERT_EQ(report.warnings(), 1) << report.ToString();
+  EXPECT_EQ(report.diagnostics[0].checker_id, "dead-value");
+  EXPECT_EQ(report.diagnostics[0].location, "op 1 (exp)");
 }
 
 // ---- Redundant-collective lint over boundary-realization sequences ----
@@ -363,6 +403,8 @@ TEST(LintTest, GatherSliceRoundTripIsFlagged) {
       AxesPerDim{{"B"}, {}});
   OpBuilder builder(&func->body());
   builder.Return({slice->result()});
+  spmd.input_shardings = {ValueSharding{AxesPerDim{{"B"}, {}}}};
+  spmd.output_shardings = {ValueSharding{AxesPerDim{{"B"}, {}}}};
 
   AnalysisReport report = analysis::AnalyzeSpmd(spmd);
   EXPECT_EQ(report.errors(), 0) << report.ToString();
@@ -396,6 +438,8 @@ TEST(LintTest, ReduceScatterOfReplicatedIsFlagged) {
       AxesPerDim{{"B"}, {}});
   OpBuilder builder(&func->body());
   builder.Return({rs->result()});
+  spmd.input_shardings = {ValueSharding{AxesPerDim{{"B"}, {}}}};
+  spmd.output_shardings = {ValueSharding{AxesPerDim{{"B"}, {}}}};
 
   AnalysisReport report = analysis::AnalyzeSpmd(spmd);
   EXPECT_EQ(report.errors(), 0) << report.ToString();
@@ -409,9 +453,9 @@ TEST(LintTest, ReduceScatterOfReplicatedIsFlagged) {
   EXPECT_TRUE(flagged) << report.ToString();
 }
 
-TEST(ShapeCheckerTest, MalformedAxesPerDimIsReported) {
+TEST(VerifierStageTest, MalformedAxesPerDimIsReported) {
   // The boundary-realization paths emit all_gather / reduce_scatter
-  // directly, so a malformed axes_per_dim must produce an explicit shape
+  // directly, so a malformed axes_per_dim must produce an explicit
   // diagnostic (not a silent no-opinion that also disables the
   // divisibility check downstream).
   SpmdModule spmd;
@@ -429,10 +473,9 @@ TEST(ShapeCheckerTest, MalformedAxesPerDimIsReported) {
   OpBuilder builder(&func->body());
   builder.Return({bad_axis->result(), bad_rank->result()});
 
-  AnalysisReport report;
-  CheckShapes(spmd, report);
+  AnalysisReport report = analysis::AnalyzeSpmd(spmd);
   EXPECT_GE(report.errors(), 2) << report.ToString();
-  EXPECT_TRUE(report.HasChecker("shape-check")) << report.ToString();
+  EXPECT_TRUE(report.HasChecker("ir-verify")) << report.ToString();
 }
 
 // ---- Every example workload analyzes clean ----

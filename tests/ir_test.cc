@@ -1,12 +1,19 @@
-// Unit tests for the array-IR substrate: types, builder shape inference,
-// printing, verification, cloning and DCE.
+// Unit tests for the array-IR substrate: types, the typing rule the builder
+// and the verifier share, printing, verification, cloning and DCE.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+
+#include "src/api/partir.h"
 #include "src/ir/builder.h"
 #include "src/ir/ir.h"
 #include "src/ir/passes.h"
 #include "src/ir/printer.h"
 #include "src/ir/verifier.h"
+#include "src/models/schedules.h"
+#include "src/models/serving.h"
+#include "src/models/transformer.h"
 
 namespace partir {
 namespace {
@@ -242,6 +249,320 @@ TEST(VerifierTest, LoopRegionValuesAreScopedToTheLoop) {
   diags = Verify(leaked_range);
   ASSERT_EQ(diags.size(), 1u) << Print(leaked_range);
   EXPECT_NE(diags[0].find("not dominating"), std::string::npos) << diags[0];
+}
+
+// ---- One mistyped op per kind: Verify names the op and the broken rule ----
+
+/** Appends `kind` with an explicit (possibly wrong) result type and
+ *  attributes, bypassing the builder's typing rule. */
+Value* RawOp(Block& block, OpKind kind, std::vector<Value*> operands,
+             Type declared,
+             std::vector<std::pair<std::string, Attr>> attrs = {}) {
+  auto op = std::make_unique<Operation>(kind, std::move(operands),
+                                        std::vector<Type>{declared});
+  for (auto& [name, value] : attrs) op->attrs().Set(name, std::move(value));
+  return block.Append(std::move(op))->result();
+}
+
+struct MistypedCase {
+  const char* name;
+  /** Builds the bad op into `func` (after its args) and returns a value to
+   *  return. */
+  std::function<Value*(Func&)> build;
+  const char* location;  // where the first diagnostic points
+  const char* expect;    // what it says
+};
+
+std::vector<MistypedCase> MistypedCases() {
+  using V = std::vector<int64_t>;
+  auto arg = [](Func& f, std::vector<int64_t> dims,
+                DType dtype = DType::kF32) {
+    return f.body().AddArg(TensorType(std::move(dims), dtype),
+                           StrCat("a", f.body().num_args()));
+  };
+  auto raw = [](Func& f, OpKind kind, std::vector<Value*> operands,
+                std::vector<int64_t> dims,
+                std::vector<std::pair<std::string, Attr>> attrs = {}) {
+    return RawOp(f.body(), kind, std::move(operands),
+                 TensorType(std::move(dims)), std::move(attrs));
+  };
+  auto apd = [](AxesPerDim axes) { return Attr(std::move(axes)); };
+  auto strs = [](std::vector<std::string> s) { return Attr(std::move(s)); };
+  return {
+      {"reshape element count",
+       [=](Func& f) {
+         return raw(f, OpKind::kReshape, {arg(f, {4, 6})}, {5, 5});
+       },
+       "op 0 (reshape)", "element count"},
+      {"transpose perm",
+       [=](Func& f) {
+         return raw(f, OpKind::kTranspose, {arg(f, {2, 3})}, {2, 2},
+                    {{"perm", V{0, 0}}});
+       },
+       "op 0 (transpose)", "perm repeats dim 0"},
+      {"transpose result",
+       [=](Func& f) {
+         return raw(f, OpKind::kTranspose, {arg(f, {2, 3})}, {2, 3},
+                    {{"perm", V{1, 0}}});
+       },
+       "op 0 (transpose)", "typing rule gives tensor<3x2xf32>"},
+      {"reduce dims",
+       [=](Func& f) {
+         return raw(f, OpKind::kReduce, {arg(f, {4, 5})}, {4},
+                    {{"dims", V{2}}, {"reduction", std::string("sum")}});
+       },
+       "op 0 (reduce)", "dims dim 2 is out of range"},
+      {"reduce result",
+       [=](Func& f) {
+         return raw(f, OpKind::kReduce, {arg(f, {4, 5, 6})}, {4, 5},
+                    {{"dims", V{1}}, {"reduction", std::string("sum")}});
+       },
+       "op 0 (reduce)", "typing rule gives tensor<4x6xf32>"},
+      {"broadcast embedding",
+       [=](Func& f) {
+         return raw(f, OpKind::kBroadcastInDim, {arg(f, {5})}, {3, 4},
+                    {{"broadcast_dims", V{1}}});
+       },
+       "op 0 (broadcast_in_dim)", "does not embed"},
+      {"static_slice window",
+       [=](Func& f) {
+         return raw(f, OpKind::kStaticSlice, {arg(f, {4, 4})}, {5, 4},
+                    {{"starts", V{0, 0}}, {"limits", V{5, 4}}});
+       },
+       "op 0 (static_slice)", "exceeds dim 0"},
+      {"static_slice result",
+       [=](Func& f) {
+         return raw(f, OpKind::kStaticSlice, {arg(f, {4, 4})}, {4, 4},
+                    {{"starts", V{0, 1}}, {"limits", V{4, 3}}});
+       },
+       "op 0 (static_slice)", "typing rule gives tensor<4x2xf32>"},
+      {"concatenate off-dim mismatch",
+       [=](Func& f) {
+         return raw(f, OpKind::kConcatenate, {arg(f, {2, 3}), arg(f, {2, 4})},
+                    {4, 3}, {{"dim", int64_t{0}}});
+       },
+       "op 0 (concatenate)", "off the concatenation dim"},
+      {"concatenate overflow",
+       [=](Func& f) {
+         return raw(f, OpKind::kConcatenate,
+                    {arg(f, {int64_t{1} << 62}), arg(f, {int64_t{1} << 62})},
+                    {1}, {{"dim", int64_t{0}}});
+       },
+       "op 0 (concatenate)", "overflows int64"},
+      {"gather indices",
+       [=](Func& f) {
+         return raw(f, OpKind::kGather, {arg(f, {10, 4}), arg(f, {3})},
+                    {3, 4});
+       },
+       "op 0 (gather)", "indices must be s32"},
+      {"scatter_add updates",
+       [=](Func& f) {
+         return raw(f, OpKind::kScatterAdd,
+                    {arg(f, {3}, DType::kS32), arg(f, {4, 2})}, {8, 2},
+                    {{"num_rows", int64_t{8}}});
+       },
+       "op 0 (scatter_add)", "do not extend"},
+      {"convolution channels",
+       [=](Func& f) {
+         return raw(f, OpKind::kConvolution,
+                    {arg(f, {1, 4, 4, 3}), arg(f, {3, 3, 2, 8})},
+                    {1, 4, 4, 8}, {{"strides", V{1, 1}}});
+       },
+       "op 0 (convolution)", "input channels 3"},
+      {"dot batch dims",
+       [=](Func& f) {
+         return raw(f, OpKind::kDot, {arg(f, {2, 3, 4}), arg(f, {5, 4, 6})},
+                    {2, 3, 6},
+                    {{"lhs_contract", V{2}}, {"rhs_contract", V{1}},
+                     {"lhs_batch", V{0}}, {"rhs_batch", V{0}}});
+       },
+       "op 0 (dot)", "batch dims disagree"},
+      {"all_gather axes",
+       [=](Func& f) {
+         return raw(f, OpKind::kAllGather, {arg(f, {4, 4})}, {8, 4},
+                    {{"axes_per_dim", apd({{"Z"}, {}})}});
+       },
+       "op 0 (all_gather)", "unknown mesh axis 'Z'"},
+      {"all_gather result",
+       [=](Func& f) {
+         return raw(f, OpKind::kAllGather, {arg(f, {4, 4})}, {4, 4},
+                    {{"axes_per_dim", apd({{"B"}, {}})}});
+       },
+       "op 0 (all_gather)", "typing rule gives tensor<8x4xf32>"},
+      {"all_gather overflow",
+       [=](Func& f) {
+         return raw(f, OpKind::kAllGather, {arg(f, {int64_t{1} << 62, 4})},
+                    {1, 4}, {{"axes_per_dim", apd({{"B"}, {}})}});
+       },
+       "op 0 (all_gather)", "overflows int64"},
+      {"all_slice divisibility",
+       [=](Func& f) {
+         return raw(f, OpKind::kAllSlice, {arg(f, {7, 4})}, {3, 4},
+                    {{"axes_per_dim", apd({{"B"}, {}})}});
+       },
+       "op 0 (all_slice)", "not divisible by the axis product 2"},
+      {"all_slice axes",
+       [=](Func& f) {
+         return raw(f, OpKind::kAllSlice, {arg(f, {6, 4})}, {1, 4},
+                    {{"axes_per_dim", apd({{"B", "B"}, {}})}});
+       },
+       "op 0 (all_slice)", "repeats mesh axis 'B'"},
+      {"reduce_scatter axes",
+       [=](Func& f) {
+         return raw(f, OpKind::kReduceScatter, {arg(f, {4, 4})}, {2, 4},
+                    {{"axes_per_dim", apd({{"B"}})},
+                     {"reduction", std::string("sum")}});
+       },
+       "op 0 (reduce_scatter)", "axes_per_dim lists 1 dim(s)"},
+      {"reduce_scatter divisibility",
+       [=](Func& f) {
+         return raw(f, OpKind::kReduceScatter, {arg(f, {4, 4})}, {4, 1},
+                    {{"axes_per_dim", apd({{}, {"M"}})},
+                     {"reduction", std::string("sum")}});
+       },
+       "op 0 (reduce_scatter)", "not divisible by the axis product 3"},
+      {"all_to_all divisibility",
+       [=](Func& f) {
+         return raw(f, OpKind::kAllToAll, {arg(f, {2, 3})}, {4, 1},
+                    {{"slice_dim", int64_t{1}},
+                     {"concat_dim", int64_t{0}},
+                     {"axes", strs({"B"})}});
+       },
+       "op 0 (all_to_all)", "not divisible by the group size 2"},
+      {"loop tile type",
+       [=](Func& f) {
+         Value* x = arg(f, {64, 8});
+         OpBuilder builder(&f.body());
+         Operation* loop = builder.Loop("B", 2, "tile", 0,
+                                        TensorType({256, 8}));
+         Block& body = loop->region(0).block();
+         OpBuilder(&body).Yield(&body, {x});
+         return loop->result();
+       },
+       "op 0 (loop)", "typing rule gives tensor<128x8xf32>"},
+      {"slice range",
+       [=](Func& f) {
+         Value* x = arg(f, {6, 8});
+         OpBuilder builder(&f.body());
+         Operation* loop = builder.Loop("M", 3, "tile", 0,
+                                        TensorType({6, 8}));
+         Block& body = loop->region(0).block();
+         Value* range = body.arg(0);
+         Value* slice = RawOp(body, OpKind::kPSlice, {x, range},
+                              TensorType({2, 8}), {{"dim", int64_t{1}}});
+         OpBuilder(&body).Yield(&body, {slice});
+         return loop->result();
+       },
+       "op 0 (loop), op 0 (slice)", "dim 1 of tensor<6x8xf32>"},
+  };
+}
+
+TEST(VerifierTest, EveryMistypedOpIsNamed) {
+  Mesh mesh({{"B", 2}, {"M", 3}});
+  for (const MistypedCase& c : MistypedCases()) {
+    SCOPED_TRACE(c.name);
+    Module module;
+    Func* func = module.AddFunc("main");
+    Value* result = c.build(*func);
+    OpBuilder(&func->body()).Return({result});
+    std::vector<std::string> diags = Verify(module, &mesh);
+    ASSERT_FALSE(diags.empty()) << Print(module);
+    EXPECT_EQ(diags[0].rfind(StrCat(c.location, ": "), 0), 0u) << diags[0];
+    EXPECT_NE(diags[0].find(c.expect), std::string::npos) << diags[0];
+  }
+}
+
+TEST(VerifierTest, PlacementRules) {
+  // A collective inside a loop region and a slice outside one.
+  Mesh mesh({{"B", 2}});
+  Module module;
+  Func* func = module.AddFunc("main");
+  Value* x = func->body().AddArg(TensorType({4, 4}), "x");
+  OpBuilder builder(&func->body());
+  builder.SetMesh(&mesh);
+  Operation* loop = builder.Loop("B", 2, "sum", -1, TensorType({4, 4}));
+  Block& body = loop->region(0).block();
+  OpBuilder body_builder(&body);
+  body_builder.SetMesh(&mesh);
+  body_builder.Yield(&body, {body_builder.AllReduce(x, {"B"})});
+  Value* stray = RawOp(func->body(), OpKind::kPSlice,
+                       {loop->result(), body.arg(0)}, TensorType({2, 4}),
+                       {{"dim", int64_t{0}}});
+  builder.Return({stray});
+  std::vector<std::string> diags = Verify(module, &mesh);
+  std::set<std::string> expected = {
+      "op 0 (loop), op 0 (all_reduce): collective inside a loop region",
+      "op 1 (slice): uses a value not dominating it",
+      "op 1 (slice): slice outside a loop region"};
+  EXPECT_EQ(std::set<std::string>(diags.begin(), diags.end()), expected)
+      << StrJoin(diags, "\n");
+}
+
+/**
+ * Drops, then mistypes, every attribute of the first op of each kind in
+ * `spmd`'s module: each mutation must be a Verify error naming that op,
+ * never an abort, and restoring the attributes must verify clean again.
+ */
+void ExpectEveryAttributeIsRequired(SpmdModule& spmd) {
+  Block& body = spmd.mutable_main()->body();
+  ASSERT_TRUE(Verify(*spmd.module, &spmd.mesh).empty());
+  std::set<OpKind> seen;
+  int mutations = 0;
+  for (int i = 0; i < body.num_ops(); ++i) {
+    Operation& op = *body.ops()[i];
+    if (!seen.insert(op.kind()).second) continue;
+    const AttrMap original = op.attrs();
+    for (const auto& [name, attr] : original.raw()) {
+      SCOPED_TRACE(StrCat(OpLocation(i, op), " attribute '", name, "'"));
+      AttrMap dropped;
+      for (const auto& [other, value] : original.raw()) {
+        if (other != name) dropped.Set(other, value);
+      }
+      AttrMap mistyped = original;
+      mistyped.Set(name, std::holds_alternative<int64_t>(attr)
+                             ? Attr(std::string("x"))
+                             : Attr(int64_t{1}));
+      for (const AttrMap& broken : {dropped, mistyped}) {
+        op.attrs() = broken;
+        std::vector<std::string> diags = Verify(*spmd.module, &spmd.mesh);
+        ASSERT_FALSE(diags.empty());
+        EXPECT_EQ(diags[0].rfind(OpLocation(i, op), 0), 0u) << diags[0];
+        EXPECT_NE(diags[0].find(name), std::string::npos) << diags[0];
+        ++mutations;
+      }
+      op.attrs() = original;
+    }
+  }
+  EXPECT_TRUE(Verify(*spmd.module, &spmd.mesh).empty());
+  EXPECT_GE(seen.size(), 10u);
+  EXPECT_GT(mutations, 20);
+}
+
+TEST(VerifierTest, TrainStepAttributesAreAllRequired) {
+  TransformerConfig config;
+  config.num_layers = 2;
+  config.d_model = 64;
+  config.num_heads = 8;
+  config.head_dim = 8;
+  config.ffw_size = 128;
+  config.vocab = 128;
+  config.batch = 4;
+  config.seq = 8;
+  Program program = Program::Capture([&](Module& module) {
+    return BuildTransformerTrainingStep(module, config);
+  });
+  Executable exe = program
+                       .Partition(schedules::TransformerBPMPZ3(),
+                                  Mesh({{"batch", 2}, {"model", 2}}))
+                       .value();
+  ExpectEveryAttributeIsRequired(exe.mutable_spmd());
+}
+
+TEST(VerifierTest, TransformerInferAttributesAreAllRequired) {
+  serving::ServeWorkload workload = serving::TransformerInferWorkload();
+  Program program = Program::Capture(workload.build, 1);
+  Executable exe = program.Partition(workload.schedule, workload.mesh).value();
+  ExpectEveryAttributeIsRequired(exe.mutable_spmd());
 }
 
 TEST(PrinterTest, PaperLikeSyntax) {

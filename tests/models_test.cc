@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/materialize.h"
 #include "src/interp/interpreter.h"
+#include "src/ir/verifier.h"
 #include "src/models/gns.h"
 #include "src/models/schedules.h"
 #include "src/models/transformer.h"
@@ -316,6 +318,47 @@ TEST(GnsModelTest, TrainingStepEvaluates) {
       *step, 43, /*index_modulus=*/static_cast<float>(config.num_nodes));
   auto out = Evaluate(*step, inputs);
   EXPECT_TRUE(std::isfinite(out.back().at(0)));
+}
+
+// ---- Loop forms with a static_slice over a tiled full dim verify ----
+
+/** Partitions `func` and checks its loop form verifies over `mesh` and
+ *  holds a static_slice inside a loop, i.e. over a tiled dim. */
+void ExpectLoopFormVerifies(Func* func, const Mesh& mesh,
+                            const std::vector<Tactic>& schedule) {
+  PartitionContext ctx(func, mesh);
+  ASSERT_TRUE(PartirJitOrError(ctx, schedule).ok());
+  std::unique_ptr<Module> loops = MaterializeLoops(ctx);
+  std::vector<std::string> diags = Verify(*loops, &mesh);
+  EXPECT_TRUE(diags.empty()) << StrJoin(diags, "\n");
+  const Block& body = loops->main()->body();
+  int tiled_slices = 0;
+  WalkOps(body, [&](const Operation& op) {
+    if (op.kind() == OpKind::kStaticSlice && op.parent() != &body) {
+      ++tiled_slices;
+    }
+  });
+  EXPECT_GT(tiled_slices, 0);
+}
+
+TEST(LoopFormTest, UNetBp) {
+  Module module;
+  ExpectLoopFormVerifies(BuildUNetTrainingStep(module, UNetConfig()),
+                         Mesh({{"batch", 4}, {"model", 2}}),
+                         {schedules::UNetBP()});
+}
+
+TEST(LoopFormTest, GnsEs) {
+  Module module;
+  ExpectLoopFormVerifies(BuildGnsTrainingStep(module, GnsConfig()),
+                         Mesh({{"batch", 4}}), {schedules::GnsES()});
+}
+
+TEST(LoopFormTest, InferenceBp) {
+  Module module;
+  ExpectLoopFormVerifies(
+      BuildTransformerInference(module, TinyTransformer(), 3),
+      Mesh({{"batch", 4}, {"model", 2}}), {schedules::InferenceBP()});
 }
 
 }  // namespace

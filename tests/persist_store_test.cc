@@ -6,12 +6,15 @@
 // caches over one directory, and PARTIR_CACHE_DIR environment configuration.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <thread>
 
 #include "src/api/partir.h"
@@ -106,13 +109,16 @@ TEST(PersistStoreTest, FlippedChecksumByteIsDataLoss) {
 }
 
 TEST(PersistStoreTest, WrongVersionIsAMissNotDamage) {
-  // Format 2 partition results still carried stage snapshots, and format 3
-  // tactic reports carried collective counts and an estimate; like any
-  // other version, such an entry must read as a miss.
+  // Format 2 partition results still carried stage snapshots, format 3
+  // tactic reports carried collective counts and an estimate, and format 4
+  // SPMD modules kept global static_slice bounds; like any other version,
+  // such an entry must read as a miss.
   ASSERT_NE(persist::kFormatVersion, 2u);
   ASSERT_NE(persist::kFormatVersion, 3u);
+  ASSERT_NE(persist::kFormatVersion, 4u);
   for (char low_byte : {static_cast<char>(persist::kFormatVersion ^ 0xFF),
-                        static_cast<char>(2), static_cast<char>(3)}) {
+                        static_cast<char>(2), static_cast<char>(3),
+                        static_cast<char>(4)}) {
     std::string bytes = EncodeEntry(PayloadKind::kModule, "key", "payload");
     // The little-endian format version follows the 8-byte magic.
     bytes[8] = low_byte;
@@ -465,6 +471,136 @@ TEST(PersistFacadeTest, CorruptPartitionResultPayloadIsTyped) {
     EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss)
         << "fraction " << fraction << ": " << restored.status().ToString();
   }
+}
+
+// ---- Checksummed artifacts holding ill-typed IR ----
+
+/** Strips every attribute from the first op of `kind` in `func`. */
+void DropAttributes(Func& func, OpKind kind) {
+  for (const auto& op : func.body().ops()) {
+    if (op->kind() != kind) continue;
+    op->attrs() = AttrMap();
+    return;
+  }
+  FAIL() << "no " << OpKindName(kind) << " to damage";
+}
+
+/** Exit status and stderr of the lint CLI over `path`. */
+std::pair<int, std::string> RunLint(const std::string& path) {
+  std::string err = path + ".stderr";
+  int status = std::system(
+      StrCat(PARTIR_LINT_PATH, " ", path, " > /dev/null 2> ", err).c_str());
+  std::ifstream in(err);
+  std::string message((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, message};
+}
+
+TEST(PersistFacadeTest, SavedResultThatDoesNotVerifyIsDataLoss) {
+  // A well-framed, checksummed SaveResult file whose dot or all_reduce lost
+  // its attributes: loading it is a typed kDataLoss, before the collective
+  // plan or the device compiler reads an attribute, and the lint CLI exits
+  // 2 naming the op.
+  ScopedDir dir("partir-facade");
+  for (OpKind kind : {OpKind::kDot, OpKind::kAllReduce}) {
+    SCOPED_TRACE(OpKindName(kind));
+    Program program = MakeChain();
+    Executable exe =
+        program
+            .Partition({ManualPartition{"MP", {{"w1", 1}}, "M"}},
+                       Mesh({{"B", 4}, {"M", 2}}))
+            .value();
+    DropAttributes(*exe.mutable_spmd().mutable_main(), kind);
+    std::string path = StrCat(dir.path, "/", OpKindName(kind), ".bin");
+    ASSERT_TRUE(exe.SaveResult(path).ok());
+
+    std::string bytes = persist::ReadFileToString(path).value();
+    std::string payload = DecodeEntry(bytes, PayloadKind::kPartitionResult,
+                                      "partir-partition-result")
+                              .value();
+    StatusOr<PartitionResult> restored =
+        persist::DeserializePartitionResult(payload);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(restored.status().message().find(
+                  StrCat("(", OpKindName(kind), "): missing attribute")),
+              std::string::npos)
+        << restored.status().ToString();
+
+    auto [exit_code, message] = RunLint(path);
+    EXPECT_EQ(exit_code, 2) << message;
+    EXPECT_NE(message.find("does not verify"), std::string::npos) << message;
+  }
+}
+
+TEST(PersistFacadeTest, SavedResultWithBadShardingsOrMeshIsDataLoss) {
+  // Shardings the module cannot run with (an unknown mesh axis, a missing
+  // output sharding, a rank mismatch) and a mesh whose device count
+  // overflows int64_t are a typed kDataLoss at load, not a fault later.
+  ScopedDir dir("partir-facade");
+  const int64_t big = int64_t{1} << 32;
+  std::vector<std::function<void(SpmdModule&)>> damages = {
+      [](SpmdModule& spmd) { spmd.output_shardings[0].axes = {{"Z"}, {}}; },
+      [](SpmdModule& spmd) { spmd.output_shardings.clear(); },
+      [](SpmdModule& spmd) { spmd.input_shardings[0].axes = {{"B"}}; },
+      [big](SpmdModule& spmd) {
+        spmd.mesh = Mesh({{"B", big}, {"M", big}});
+      }};
+  for (size_t i = 0; i < damages.size(); ++i) {
+    SCOPED_TRACE(i);
+    Program program = MakeChain();
+    Executable exe =
+        program.Partition(BpSchedule(), Mesh({{"B", 4}, {"M", 2}})).value();
+    damages[i](exe.mutable_spmd());
+    std::string path = StrCat(dir.path, "/shardings", i, ".bin");
+    ASSERT_TRUE(exe.SaveResult(path).ok());
+    std::string bytes = persist::ReadFileToString(path).value();
+    StatusOr<PartitionResult> restored = persist::DeserializePartitionResult(
+        DecodeEntry(bytes, PayloadKind::kPartitionResult,
+                    "partir-partition-result")
+            .value());
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss)
+        << restored.status().ToString();
+    EXPECT_EQ(RunLint(path).first, 2);
+  }
+}
+
+TEST(PersistFacadeTest, SavedProgramThatDoesNotVerifyIsDataLoss) {
+  // An attribute-less dot is refused at load, before Partition or Evaluate
+  // could read its attributes.
+  ScopedDir dir("partir-facade");
+  Program program = MakeChain();
+  DropAttributes(*program.func(), OpKind::kDot);
+  std::string path = dir.path + "/program.bin";
+  ASSERT_TRUE(program.Save(path).ok());
+  StatusOr<Program> loaded = Program::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("op 0 (dot)"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(PersistFacadeTest, SavedTypeWhoseSizeOverflowsIsDataLoss) {
+  // A reshape of a 2^32 x 2^32 tensor: its element count does not fit in
+  // int64_t, so decoding refuses the type before the verifier's reshape
+  // rule would multiply its dims.
+  ScopedDir dir("partir-facade");
+  const int64_t big = int64_t{1} << 32;
+  Program program("main");
+  Value* x = program.AddInput(TensorType({big, big}), "x");
+  Operation* reshape = program.func()->body().Append(
+      std::make_unique<Operation>(OpKind::kReshape, std::vector<Value*>{x},
+                                  std::vector<Type>{x->type()}));
+  program.Return({reshape->result()});
+  std::string path = dir.path + "/program.bin";
+  ASSERT_TRUE(program.Save(path).ok());
+  StatusOr<Program> loaded = Program::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("overflows the byte size"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 }  // namespace

@@ -252,7 +252,7 @@ TEST(SpmdOptimizeTest, GatherOfSliceCancels) {
   Func* func = module.AddFunc("main");
   Value* x = func->body().AddArg(TensorType({16, 4}), "x");
   OpBuilder builder(&func->body());
-  builder.SetAxisSizeFn([&](const std::string& a) { return mesh.AxisSize(a); });
+  builder.SetMesh(&mesh);
   Value* sliced = builder.AllSlice(x, {{"a"}, {}});
   Value* gathered = builder.AllGather(sliced, {{"a"}, {}});
   builder.Return({gathered});
@@ -274,7 +274,7 @@ TEST(SpmdOptimizeTest, SliceOfSplatConstantShrinks) {
   spmd.mesh = mesh;
   Func* func = spmd.module->AddFunc("main");
   OpBuilder builder(&func->body());
-  builder.SetAxisSizeFn([&](const std::string& a) { return mesh.AxisSize(a); });
+  builder.SetMesh(&mesh);
   Value* c = builder.Constant(1.0, {16, 4});
   Value* sliced = builder.AllSlice(c, {{"a"}, {}});
   builder.Return({sliced});
@@ -294,7 +294,7 @@ TEST(SpmdOptimizeTest, GatherSliceAcrossDimsBecomesAllToAll) {
   Func* func = spmd.module->AddFunc("main");
   Value* x = func->body().AddArg(TensorType({4, 4}), "x");
   OpBuilder builder(&func->body());
-  builder.SetAxisSizeFn([&](const std::string& a) { return mesh.AxisSize(a); });
+  builder.SetMesh(&mesh);
   Value* gathered = builder.AllGather(x, {{"a"}, {}});
   Value* sliced = builder.AllSlice(gathered, {{}, {"a"}});
   builder.Return({sliced});
@@ -315,8 +315,7 @@ SpmdModule EmptySpmd(const Mesh& mesh, OpBuilder& builder) {
   spmd.mesh = mesh;
   spmd.module->AddFunc("main");
   builder.SetInsertionBlock(&spmd.main()->body());
-  builder.SetAxisSizeFn(
-      [mesh](const std::string& a) { return mesh.AxisSize(a); });
+  builder.SetMesh(&mesh);
   return spmd;
 }
 

@@ -6,14 +6,16 @@
  *
  *   partir_lint [--no-warnings] <file>...
  *
- * For a saved program the structural lint runs (no mesh, no lowered form);
- * for a saved partition result the full suite runs: lint, shape
- * consistency, collective deadlock/mismatch detection and memory-plan
- * verification over the recompiled device program.
+ * For a saved program the IR verifier and lint run (no mesh, no lowered
+ * form). A saved partition result loads only if its module verifies over
+ * its mesh (one that does not is a decode failure); then the full suite
+ * runs: the verifier stage with the shardings, lint, collective
+ * deadlock/mismatch detection and memory-plan verification over the
+ * recompiled device program.
  *
  * Exit status: 0 when every file analyzed without errors, 1 when any file
  * produced error diagnostics, 2 on usage or I/O/decode failure. Corrupted
- * input is a typed message, never a crash.
+ * or crafted input is a typed message, never a crash.
  */
 #include <cstdio>
 #include <string>
