@@ -9,9 +9,9 @@
 //
 // A second summary compares serving tail latency with the executable's
 // persistent worker pool (RunOptions::use_pool, the default) against the
-// pre-pool behavior of spawning one thread per device per batch. With
-// --enforce-pool-floor, exits non-zero unless the pooled p99 beats the
-// spawning p99 by kPoolP99Floor x.
+// pre-pool behavior of spawning one thread per device per batch, over
+// kPoolRounds interleaved rounds. With --enforce-pool-floor, exits non-zero
+// unless the pooled p99 beats the spawning p99 by kPoolP99Floor x.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -43,6 +43,10 @@ double Percentile(std::vector<double> sorted_ms, double q) {
 // CI floor for the pool comparison: pooled p99 must beat per-batch thread
 // spawning by this factor on the quickstart workload.
 constexpr double kPoolP99Floor = 1.3;
+// Rounds of the pool comparison, each running both arms once: 80 rounds of
+// 160 requests make an arm's p99 its 128th-slowest of 12,800 requests, which
+// the host stalls of a few rounds cannot decide alone.
+constexpr int kPoolRounds = 80;
 
 struct Config {
   int64_t max_batch;
@@ -56,7 +60,19 @@ struct Result {
   double p50_ms = 0;
   double p99_ms = 0;
   BatcherStats stats;
+  std::vector<double> latencies_ms;  // every request, sorted
+  double wall_ms = 0;
 };
+
+/** Sets the throughput and percentiles from latencies_ms and wall_ms. */
+void Summarize(Result& result) {
+  std::sort(result.latencies_ms.begin(), result.latencies_ms.end());
+  result.throughput_rps =
+      static_cast<double>(result.latencies_ms.size()) /
+      (result.wall_ms / 1e3);
+  result.p50_ms = Percentile(result.latencies_ms, 0.50);
+  result.p99_ms = Percentile(result.latencies_ms, 0.99);
+}
 
 Result RunConfig(const serving::ServeWorkload& workload,
                  serving::WorkloadHarness& harness, const Config& config) {
@@ -103,16 +119,13 @@ Result RunConfig(const serving::ServeWorkload& workload,
   double wall_ms = MillisSince(wall_start);
   batcher->Shutdown();
 
-  std::vector<double> all;
-  for (const std::vector<double>& from_producer : latencies) {
-    all.insert(all.end(), from_producer.begin(), from_producer.end());
-  }
-  std::sort(all.begin(), all.end());
   Result result;
-  int64_t total = static_cast<int64_t>(all.size());
-  result.throughput_rps = total / (wall_ms / 1e3);
-  result.p50_ms = Percentile(all, 0.50);
-  result.p99_ms = Percentile(all, 0.99);
+  for (const std::vector<double>& from_producer : latencies) {
+    result.latencies_ms.insert(result.latencies_ms.end(),
+                               from_producer.begin(), from_producer.end());
+  }
+  result.wall_ms = wall_ms;
+  Summarize(result);
   result.stats = batcher->stats();
   return result;
 }
@@ -179,19 +192,32 @@ int main(int argc, char** argv) {
 
   // ---- Persistent worker pool vs per-batch thread spawning ----
   // Same serving regime; the only difference between the arms is
-  // RunOptions::use_pool. Best-of-3 per arm, arms interleaved, so a
-  // background hiccup cannot land entirely on one side.
+  // RunOptions::use_pool. The arms alternate which runs first in each
+  // round, and each arm's percentiles are taken over the requests of all
+  // its rounds, so a background hiccup neither lands on one side only nor
+  // decides an arm's p99 by itself.
   Config pooled_config{/*max_batch=*/4, /*producers=*/4,
                        /*requests_per_producer=*/40, RunOptions{}};
   Config spawn_config = pooled_config;
   spawn_config.run.use_pool = false;
   Result pooled, spawn;
-  for (int round = 0; round < 3; ++round) {
-    Result p = RunConfig(workload, harness, pooled_config);
-    Result s = RunConfig(workload, harness, spawn_config);
-    if (round == 0 || p.p99_ms < pooled.p99_ms) pooled = p;
-    if (round == 0 || s.p99_ms < spawn.p99_ms) spawn = s;
+  std::vector<double> pooled_round_p99, spawn_round_p99;
+  for (int round = 0; round < kPoolRounds; ++round) {
+    for (int turn = 0; turn < 2; ++turn) {
+      const bool pooled_turn = (round + turn) % 2 == 0;
+      Result run = RunConfig(workload, harness,
+                             pooled_turn ? pooled_config : spawn_config);
+      Result& arm = pooled_turn ? pooled : spawn;
+      (pooled_turn ? pooled_round_p99 : spawn_round_p99)
+          .push_back(run.p99_ms);
+      arm.latencies_ms.insert(arm.latencies_ms.end(),
+                              run.latencies_ms.begin(),
+                              run.latencies_ms.end());
+      arm.wall_ms += run.wall_ms;
+    }
   }
+  Summarize(pooled);
+  Summarize(spawn);
   double pool_p99_speedup =
       pooled.p99_ms > 0 ? spawn.p99_ms / pooled.p99_ms : 0;
   JsonWriter pool_json;
@@ -201,6 +227,9 @@ int main(int argc, char** argv) {
       .Key("backend").Value("compiled")
       .Key("max_batch").Value(pooled_config.max_batch)
       .Key("producers").Value(pooled_config.producers)
+      .Key("rounds").Value(kPoolRounds)
+      .Key("requests_per_arm")
+      .Value(static_cast<int64_t>(pooled.latencies_ms.size()))
       .Key("pooled_p50_ms").Value(pooled.p50_ms)
       .Key("pooled_p99_ms").Value(pooled.p99_ms)
       .Key("pooled_rps").Value(pooled.throughput_rps)
@@ -210,6 +239,13 @@ int main(int argc, char** argv) {
       .Key("pool_p99_speedup").Value(pool_p99_speedup)
       .Key("pool_floor").Value(kPoolP99Floor)
       .Key("pool_floor_ok").Value(pool_p99_speedup >= kPoolP99Floor);
+  auto write_rounds = [&](const char* key, const std::vector<double>& p99s) {
+    pool_json.Key(key).BeginArray();
+    for (double p99 : p99s) pool_json.Value(p99);
+    pool_json.EndArray();
+  };
+  write_rounds("pooled_round_p99_ms", pooled_round_p99);
+  write_rounds("spawn_round_p99_ms", spawn_round_p99);
   pool_json.EndObject();
   std::printf("%s\n", pool_json.str().c_str());
   std::printf("pooled p99 %.3fms vs spawn p99 %.3fms: %.2fx (floor %.1fx)\n",

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/analysis/dataflow.h"
+#include "src/ir/verifier.h"
 #include "src/support/str_util.h"
 
 namespace partir {
@@ -18,8 +19,18 @@ int64_t NumelOf(const Value* value) {
   return value->type().IsTensor() ? value->tensor_type().NumElements() : 1;
 }
 
+/** Names a value for diagnostics: "argument 2", or "op 3 (dot) result 0"
+ *  by the position of its defining op. */
 std::string ValueLoc(const Value* value) {
-  return StrCat("value '%", value->name(), "'");
+  const Operation* def = value->def();
+  if (def == nullptr) return StrCat("argument ", value->arg_index());
+  int index = -1;
+  if (const Block* block = def->parent()) {
+    for (int i = 0; i < block->num_ops() && index < 0; ++i) {
+      if (block->ops()[i].get() == def) index = i;
+    }
+  }
+  return StrCat(OpLocation(index, *def), " result ", value->result_index());
 }
 
 /** One slot occupancy to cross-check, over its recomputed window. */

@@ -171,10 +171,10 @@ class Executable {
   double partition_seconds() const { return result_.partition_seconds; }
 
   /**
-   * Per-pass statistics of the pipeline run that compiled this executable:
+   * Per-stage statistics of the pipeline run that compiled this executable:
    * wall-clock, op deltas, rewrite counts, and — once lowered — the
-   * collective counts after each pass first ran on the lowered module (the
-   * per-stage Table 3 breakdown attributing which pass formed what).
+   * collective counts after each stage first ran on the lowered module (the
+   * per-stage Table 3 breakdown attributing which stage formed what).
    * A cache hit carries the stats of the original miss run verbatim.
    */
   const PipelineStats& pipeline_stats() const { return result_.pipeline; }

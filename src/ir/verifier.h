@@ -38,9 +38,9 @@ void VerifyEach(
 std::vector<std::string> Verify(const Module& module,
                                 const Mesh* mesh = nullptr);
 
-/** Verifies a single function — the inter-pass hook of the pass manager,
- *  which verifies the traced function between pre-lowering passes without
- *  touching the rest of its module. */
+/** Verifies a single function: the pipeline verifies the traced function
+ *  this way after each stage before lowering, without touching the rest of
+ *  its module. */
 std::vector<std::string> Verify(const Func& func, const Mesh* mesh = nullptr);
 
 /** Verifies and aborts with diagnostics on failure (for tests/pipelines). */

@@ -1,34 +1,8 @@
 /**
  * @file
- * THE declaration of the partitioning pipeline: every Program::Partition /
- * Executable::Respecialize (and the partition-cache miss path) compiles by
- * building this pass pipeline and running it through a PassManager. New
- * rewrite stages — serving batcher pre-passes, additional collective
- * formations, autopart instrumentation — are added here and nowhere else.
- */
-#ifndef PARTIR_PASS_PIPELINE_H_
-#define PARTIR_PASS_PIPELINE_H_
-
-#include <memory>
-#include <vector>
-
-#include "src/pass/pass_manager.h"
-#include "src/schedule/schedule.h"
-
-namespace partir {
-
-/**
- * Ablation hooks for pipeline experiments (bench before/after rows). The
- * facade always compiles with the defaults; a variant never enters the
- * partition cache (callers that ablate must run the pipeline directly).
- */
-struct PipelineVariant {
-  /** Include the form-reduce-scatter pass in the optimization fixpoint. */
-  bool form_reduce_scatter = true;
-};
-
-/**
- * Registers the partition pipeline for `schedule` on `manager`:
+ * The partitioning pipeline (paper Sections 5-6). Every Program::Partition
+ * and Executable::Respecialize (and the partition-cache miss path) compiles
+ * through RunPartitionPipeline, one fixed sequence of stages:
  *
  *   per tactic i:  tactic[i]        (manual actions or automatic search)
  *                  propagate        (incremental mode, manual tactics)
@@ -39,19 +13,37 @@ struct PipelineVariant {
  *                  compile-device-programs
  *                  static-analysis  (PartitionOptions::analyze)
  *
- * The module is lowered and optimized once. The collectives and estimate
- * after tactic i are those of partitioning schedule[0..i].
+ * Each stage is timed into the PassStats of its name, and with
+ * PartitionOptions::verify_passes the IR verifier runs after it; a failure
+ * is a typed Status naming the stage. The module is lowered and optimized
+ * once. The collectives and estimate after tactic i are those of
+ * partitioning schedule[0..i].
  */
-void BuildPartitionPipeline(PassManager& manager,
-                            const std::vector<Tactic>& schedule,
-                            const PartitionOptions& options,
-                            const PipelineVariant& variant = PipelineVariant());
+#ifndef PARTIR_PASS_PIPELINE_H_
+#define PARTIR_PASS_PIPELINE_H_
+
+#include <memory>
+#include <vector>
+
+#include "src/schedule/schedule.h"
+
+namespace partir {
 
 /**
- * Runs the full pipeline over a fresh context and finalizes the result
- * (final collective counts, estimate, conflicts, per-pass statistics).
- * This is PartirJitOrError's engine; call it directly to ablate passes
- * through a PipelineVariant (the bench before/after rows).
+ * Ablation hooks for pipeline experiments (bench before/after rows). The
+ * facade always compiles with the defaults; a variant never enters the
+ * partition cache (callers that ablate must run the pipeline directly).
+ */
+struct PipelineVariant {
+  /** Include the form-reduce-scatter stage in the optimization fixpoint. */
+  bool form_reduce_scatter = true;
+};
+
+/**
+ * Runs the stages above over `ctx` and finalizes the result (final
+ * collective counts, estimate, conflicts, per-stage statistics). This is
+ * PartirJitOrError's engine; call it directly to ablate stages through a
+ * PipelineVariant (the bench before/after rows).
  */
 StatusOr<PartitionResult> RunPartitionPipeline(
     PartitionContext& ctx, const std::vector<Tactic>& schedule,
@@ -61,7 +53,7 @@ StatusOr<PartitionResult> RunPartitionPipeline(
 /**
  * Recomputes the PartIR:Core loop form (Section 5) after tactics
  * [0, count) of `schedule` on a fresh `ctx`: the same tactic and
- * propagation passes the pipeline runs, then PartIR-st's deferred
+ * propagation stages the pipeline runs, then PartIR-st's deferred
  * propagation when `deferred_propagation` is set. Automatic
  * tactics re-run their seeded search. The materialized module is verified;
  * a violation is a typed kInternal Status. Executable::Print renders the

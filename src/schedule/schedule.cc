@@ -100,8 +100,8 @@ StatusOr<int> ApplyManualTacticOrError(PartitionContext& ctx,
 StatusOr<PartitionResult> PartirJitOrError(PartitionContext& ctx,
                                            const std::vector<Tactic>& schedule,
                                            const PartitionOptions& options) {
-  // The pipeline is declared once, as a pass pipeline (pipeline.cc); this
-  // is just its facade-facing name.
+  // The pipeline is one function (pipeline.cc); this is just its
+  // facade-facing name.
   return RunPartitionPipeline(ctx, schedule, options);
 }
 

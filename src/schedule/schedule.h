@@ -62,7 +62,7 @@ struct AutomaticPartition {
 using Tactic = std::variant<ManualPartition, AutomaticPartition>;
 
 /**
- * Metadata recorded by each tactic's passes (PartIR.jit's returned
+ * Metadata recorded by each tactic's stages (PartIR.jit's returned
  * metadata). The collectives and estimate after a tactic are the final
  * ones of partitioning the schedule prefix that ends with it.
  */
@@ -84,16 +84,16 @@ struct PartitionOptions {
    *         tactics into one and propagates once at the end.
    */
   bool incremental = true;
-  /** Run the IR verifier between pipeline passes (defaults on in
+  /** Run the IR verifier after every pipeline stage (defaults on in
    *  assertion-enabled builds). A violation surfaces as a typed kInternal
-   *  Status naming the pass. Not part of the cache key (it cannot change
+   *  Status naming the stage. Not part of the cache key (it cannot change
    *  the partitioned program). */
   bool verify_passes = kVerifyPassesDefault;
   /**
    * Boundary-aware propagation realization (Section 5.2.2 realization of
    * partial values): at realization boundaries — normalization statistics,
-   * softmax-style reductions, and the projections they feed — the Propagate
-   * pass consults the cost model (ChooseBoundaryRealization) to realize
+   * softmax-style reductions, and the projections they feed — the propagate
+   * stage consults the cost model (ChooseBoundaryRealization) to realize
    * each contracting step as an all_gather of the tiled operands, an
    * all_reduce of the partial, or a reduce_scatter re-tiling on the
    * gradient path, instead of hard-coding all_reduce. Turning this off is
@@ -120,7 +120,7 @@ struct PartitionOptions {
   /**
    * Run the static analysis suite (src/analysis/: IR lint, shape
    * consistency, collective deadlock/mismatch detection, memory-plan
-   * verification) as a final pipeline pass. Errors fail the pipeline with a
+   * verification) as a final pipeline stage. Errors fail the pipeline with a
    * typed kInternal Status; the full report (warnings included) lands in
    * PartitionResult::analysis and its counts in pipeline_stats(). Defaults
    * on in assertion-enabled builds, like verify_passes. Part of the cache
@@ -138,10 +138,10 @@ struct PartitionResult {
   std::vector<TacticReport> tactics;   // per-tactic metadata
   double partition_seconds = 0;        // total PartIR time (Figure 8)
   std::vector<Conflict> conflicts;     // all recorded conflicts
-  /** Per-pass timings, op deltas and collective counts of the pipeline run
+  /** Per-stage timings, op deltas and collective counts of the pipeline run
    *  that produced this result (copied verbatim on cache hits). */
   PipelineStats pipeline;
-  /** Findings of the static-analysis pass (PartitionOptions::analyze);
+  /** Findings of the static-analysis stage (PartitionOptions::analyze);
    *  empty when analysis was off or everything was clean. */
   analysis::AnalysisReport analysis;
 };

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/core/factors.h"
+#include "src/spmd/collectives.h"
 #include "src/support/str_util.h"
 
 namespace partir {
@@ -84,57 +85,15 @@ double FuncFlops(const Func& func) {
 
 namespace {
 
-// Communication seconds for one collective under ring cost factors.
+// Communication seconds for one collective: a link latency plus its ring
+// bytes over the link bandwidth. A group of one costs nothing.
 double CollectiveSeconds(const Operation& op, const Mesh& mesh,
                          const DeviceSpec& device) {
-  auto bytes_of = [](const Value* v) {
-    return static_cast<double>(v->tensor_type().ByteSize());
-  };
-  auto group_size = [&](const std::vector<std::string>& axes) {
-    int64_t n = 1;
-    for (const std::string& axis : axes) n *= mesh.AxisSize(axis);
-    return static_cast<double>(n);
-  };
-  auto flatten = [](const AxesPerDim& axes) {
-    std::vector<std::string> flat;
-    for (const auto& list : axes) {
-      flat.insert(flat.end(), list.begin(), list.end());
-    }
-    return flat;
-  };
-  double bw = device.link_bandwidth;
-  switch (op.kind()) {
-    case OpKind::kAllGather: {
-      double n = group_size(
-          flatten(op.attrs().Get<AxesPerDim>("axes_per_dim")));
-      if (n <= 1) return 0;
-      return device.link_latency_s +
-             bytes_of(op.result()) * (n - 1) / n / bw;
-    }
-    case OpKind::kAllReduce: {
-      double n =
-          group_size(op.attrs().Get<std::vector<std::string>>("axes"));
-      if (n <= 1) return 0;
-      return device.link_latency_s +
-             2.0 * bytes_of(op.operand(0)) * (n - 1) / n / bw;
-    }
-    case OpKind::kReduceScatter: {
-      double n = group_size(
-          flatten(op.attrs().Get<AxesPerDim>("axes_per_dim")));
-      if (n <= 1) return 0;
-      return device.link_latency_s +
-             bytes_of(op.operand(0)) * (n - 1) / n / bw;
-    }
-    case OpKind::kAllToAll: {
-      double n =
-          group_size(op.attrs().Get<std::vector<std::string>>("axes"));
-      if (n <= 1) return 0;
-      return device.link_latency_s +
-             bytes_of(op.operand(0)) * (n - 1) / n / bw;
-    }
-    default:
-      return 0;
+  if (!IsCollective(op.kind()) || op.kind() == OpKind::kAllSlice ||
+      CollectiveGroupSize(op, mesh) <= 1) {
+    return 0;
   }
+  return device.link_latency_s + RingBytes(op, mesh) / device.link_bandwidth;
 }
 
 // Compute seconds of one (local) op: flops-bound or memory-bound.

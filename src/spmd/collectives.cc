@@ -184,6 +184,37 @@ std::vector<std::string> CollectiveGroupAxes(const Operation& op) {
   return op.attrs().Get<std::vector<std::string>>("axes");
 }
 
+int64_t CollectiveGroupSize(const Operation& op, const Mesh& mesh) {
+  int64_t n = 1;
+  for (const std::string& axis : CollectiveGroupAxes(op)) {
+    n *= mesh.AxisSize(axis);
+  }
+  return n;
+}
+
+double RingBytes(const Operation& op, const Mesh& mesh) {
+  double factor = 1;
+  const Value* buffer = nullptr;
+  switch (op.kind()) {
+    case OpKind::kAllGather:
+      buffer = op.result();
+      break;
+    case OpKind::kAllReduce:
+      factor = 2;
+      buffer = op.operand(0);
+      break;
+    case OpKind::kReduceScatter:
+    case OpKind::kAllToAll:
+      buffer = op.operand(0);
+      break;
+    default:
+      return 0;
+  }
+  const int64_t n = CollectiveGroupSize(op, mesh);
+  return factor * static_cast<double>(buffer->tensor_type().ByteSize()) *
+         (n - 1) / n;
+}
+
 namespace {
 
 /** Elementwise combine of the reduction kind (sum or max). */

@@ -109,6 +109,18 @@ std::vector<std::string> FlattenAxesPerDim(const AxesPerDim& axes_per_dim);
  */
 std::vector<std::string> CollectiveGroupAxes(const Operation& op);
 
+/** The replica-group size of a verified collective op over `mesh`. */
+int64_t CollectiveGroupSize(const Operation& op, const Mesh& mesh);
+
+/**
+ * Bytes one device moves in a verified collective op under ring cost
+ * factors, n being its group size: (n-1)/n of the gathered result for
+ * all_gather, 2(n-1)/n of the operand for all_reduce, and (n-1)/n of it
+ * for reduce_scatter and all_to_all. 0 for all_slice, which communicates
+ * nothing, and for every other op.
+ */
+double RingBytes(const Operation& op, const Mesh& mesh);
+
 /**
  * Builds the plan for every collective in `module`, which must verify over
  * `mesh`. Replica groups are shared between ops with the same group axes.

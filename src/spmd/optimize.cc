@@ -8,6 +8,7 @@
 
 #include "src/ir/builder.h"
 #include "src/ir/passes.h"
+#include "src/spmd/collectives.h"
 #include "src/support/str_util.h"
 
 namespace partir {
@@ -256,7 +257,7 @@ class Peephole {
     // all_slice that also re-tiles axes the all_reduce never reduced (e.g.
     // a gradient reduced over the batch axes but sliced to a parameter
     // sharded over batch *and* model) — additionally keeps a residual
-    // all_slice for those axes (kRewriteReduceScatterPartial).
+    // all_slice for those axes.
     if (def != nullptr && def->kind() == OpKind::kAllReduce &&
         Enabled(kRewriteReduceScatter)) {
       auto reduce_axes = def->attrs().Get<std::vector<std::string>>("axes");
@@ -267,23 +268,21 @@ class Peephole {
       // embedding-style chain across multiple mesh axes arrives as nested
       // per-axis reduces).
       const Operation* innermost = def;
-      if (Enabled(kRewriteReduceScatterPartial)) {
-        while (true) {
-          const Operation* next = innermost->operand(0)->def();
-          if (next == nullptr || next->kind() != OpKind::kAllReduce ||
-              uses_[innermost->operand(0)] != 1 ||
-              next->attrs().Get<std::string>("reduction") != reduction ||
-              !AxesDisjoint(
-                  reduce_axes,
-                  next->attrs().Get<std::vector<std::string>>("axes"))) {
-            break;
-          }
-          const auto& inner_axes =
-              next->attrs().Get<std::vector<std::string>>("axes");
-          reduce_axes.insert(reduce_axes.end(), inner_axes.begin(),
-                             inner_axes.end());
-          innermost = next;
+      while (true) {
+        const Operation* next = innermost->operand(0)->def();
+        if (next == nullptr || next->kind() != OpKind::kAllReduce ||
+            uses_[innermost->operand(0)] != 1 ||
+            next->attrs().Get<std::string>("reduction") != reduction ||
+            !AxesDisjoint(
+                reduce_axes,
+                next->attrs().Get<std::vector<std::string>>("axes"))) {
+          break;
         }
+        const auto& inner_axes =
+            next->attrs().Get<std::vector<std::string>>("axes");
+        reduce_axes.insert(reduce_axes.end(), inner_axes.begin(),
+                           inner_axes.end());
+        innermost = next;
       }
       std::map<std::string, int64_t> sliced = AxisDims(slice_axes);
       std::map<std::string, int64_t> outside;  // sliced but not reduced
@@ -295,8 +294,7 @@ class Peephole {
       }
       const bool scatterable = static_cast<int64_t>(outside.size()) <
                                static_cast<int64_t>(sliced.size());
-      if (scatterable &&
-          (outside.empty() || Enabled(kRewriteReduceScatterPartial))) {
+      if (scatterable) {
         Value* y = Mapped(innermost->operand(0));
         // Keep the attribute's per-dim axis order (it encodes the nested
         // tiling order of the shard layout).
@@ -453,66 +451,26 @@ CollectiveStats CountCollectives(const Module& module, const Mesh& mesh) {
   CollectiveStats stats;
   for (const auto& func : module.funcs()) {
     WalkOps(func->body(), [&](const Operation& op) {
-      int64_t out_bytes = op.num_results() == 1 && op.result()->type().IsTensor()
-                              ? op.result()->tensor_type().ByteSize()
-                              : 0;
-      int64_t in_bytes =
-          op.num_operands() >= 1 && op.operand(0)->type().IsTensor()
-              ? op.operand(0)->tensor_type().ByteSize()
-              : 0;
-      auto group_size = [&](const std::vector<std::string>& axes) {
-        int64_t n = 1;
-        for (const std::string& axis : axes) n *= mesh.AxisSize(axis);
-        return n;
-      };
-      auto flatten = [](const AxesPerDim& axes) {
-        std::vector<std::string> flat;
-        for (const auto& list : axes) {
-          flat.insert(flat.end(), list.begin(), list.end());
-        }
-        return flat;
-      };
       switch (op.kind()) {
-        case OpKind::kAllGather: {
+        case OpKind::kAllGather:
           ++stats.all_gather;
-          int64_t n = group_size(
-              flatten(op.attrs().Get<AxesPerDim>("axes_per_dim")));
-          // Ring all-gather: (n-1)/n of the *result* passes each link.
-          stats.comm_bytes +=
-              static_cast<double>(out_bytes) * (n - 1) / std::max<int64_t>(n, 1);
           break;
-        }
-        case OpKind::kAllReduce: {
+        case OpKind::kAllReduce:
           ++stats.all_reduce;
-          int64_t n = group_size(
-              op.attrs().Get<std::vector<std::string>>("axes"));
-          // Ring all-reduce: 2(n-1)/n of the buffer.
-          stats.comm_bytes += 2.0 * static_cast<double>(in_bytes) * (n - 1) /
-                              std::max<int64_t>(n, 1);
           break;
-        }
-        case OpKind::kReduceScatter: {
+        case OpKind::kReduceScatter:
           ++stats.reduce_scatter;
-          int64_t n = group_size(
-              flatten(op.attrs().Get<AxesPerDim>("axes_per_dim")));
-          stats.comm_bytes += static_cast<double>(in_bytes) * (n - 1) /
-                              std::max<int64_t>(n, 1);
           break;
-        }
-        case OpKind::kAllToAll: {
+        case OpKind::kAllToAll:
           ++stats.all_to_all;
-          int64_t n = group_size(
-              op.attrs().Get<std::vector<std::string>>("axes"));
-          stats.comm_bytes += static_cast<double>(in_bytes) * (n - 1) /
-                              std::max<int64_t>(n, 1);
           break;
-        }
         case OpKind::kAllSlice:
           ++stats.all_slice;
-          break;
+          return;
         default:
-          break;
+          return;
       }
+      stats.comm_bytes += RingBytes(op, mesh);
     });
   }
   return stats;

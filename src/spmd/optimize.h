@@ -1,7 +1,7 @@
 /**
  * @file
  * SPMD-level collective optimizations (Section 6), as two maskable rewrite
- * families the pass pipeline registers as separate passes:
+ * families the pipeline runs as separate stages:
  *
  * Gather/slice fusion (kRewriteGatherSlice):
  *   - all_gather + all_slice of the same axes           -> cancel / all_to_all
@@ -9,19 +9,18 @@
  *   - no-op collectives (empty axes), identity transposes -> removed
  *   - identical all_slice CSE
  *
- * Reduce-scatter formation (kRewriteReduceScatter, + the multi-axis
- * partial-residual case under kRewriteReduceScatterPartial):
+ * Reduce-scatter formation (kRewriteReduceScatter):
  *   - all_reduce followed by all_slice on reduced axes  -> reduce_scatter
- *     (+ residual all_reduce for reduced-but-unsliced axes, and — partial
- *     case — a residual all_slice for sliced-but-unreduced axes, the
- *     embedding-style chain across multiple mesh axes)
+ *     (+ residual all_reduce for reduced-but-unsliced axes, and a residual
+ *     all_slice for sliced-but-unreduced axes, the embedding-style chain
+ *     across multiple mesh axes)
  *   - adjacent same-reduction all_reduces               -> one multi-axis AR
  *   - add of two identical-axes all_reduce/reduce_scatter partial sums
  *     -> collective of the add (gradient accumulation linearity)
  *   - transpose of a single-use all_reduce commutes inside it
  *
  * plus dead-code elimination. Collective counts (Table 3) and cost estimates
- * are taken after these passes, as in the paper.
+ * are taken after these stages, as in the paper.
  */
 #ifndef PARTIR_SPMD_OPTIMIZE_H_
 #define PARTIR_SPMD_OPTIMIZE_H_
@@ -37,12 +36,8 @@ namespace partir {
 /** Rewrite families of the SPMD peephole (bitmask). */
 inline constexpr unsigned kRewriteGatherSlice = 1u << 0;
 inline constexpr unsigned kRewriteReduceScatter = 1u << 1;
-/** Multi-axis partial-residual reduce-scatter formation: all_slice axes
- *  only partially covered by the reduced axes still form a reduce_scatter
- *  over the intersection, with residual collectives for the rest. */
-inline constexpr unsigned kRewriteReduceScatterPartial = 1u << 2;
 inline constexpr unsigned kRewriteAllSpmd =
-    kRewriteGatherSlice | kRewriteReduceScatter | kRewriteReduceScatterPartial;
+    kRewriteGatherSlice | kRewriteReduceScatter;
 
 /**
  * One peephole sweep: rewrites `main` in place applying the masked rewrite
@@ -57,9 +52,9 @@ int64_t RunSpmdPeephole(SpmdModule& spmd, unsigned rewrites);
 /**
  * Optimizes the SPMD module in place: all rewrite families plus DCE, to
  * fixpoint. The compiler-internal convenience used by hot paths that bypass
- * the pass pipeline (one MCTS candidate evaluation lowers and optimizes per
+ * the pipeline (one MCTS candidate evaluation lowers and optimizes per
  * simulation); the facade pipeline runs the same rewrites as separate
- * registered passes. Returns the number of rewrites applied.
+ * stages. Returns the number of rewrites applied.
  */
 int64_t OptimizeSpmd(SpmdModule& spmd);
 

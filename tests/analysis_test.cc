@@ -200,6 +200,37 @@ TEST(MemoryCheckerTest, IllegalInPlaceIsFlagged) {
   EXPECT_TRUE(report.HasChecker("memory-plan")) << report.ToString();
 }
 
+TEST(MemoryCheckerTest, DiagnosticsNameAValueByItsDefiningOp) {
+  // OpBuilder leaves results unnamed, so a diagnostic locates an op-defined
+  // value by the position and kind of its op.
+  Executable exe = PartitionedChain();
+  std::shared_ptr<const exec::DeviceProgram> program = CompiledProgram(exe);
+  const Func& main = *exe.spmd().module->funcs().front();
+  exec::MemoryPlan forged = program->plan;
+  exec::ValuePlan* moved = nullptr;
+  for (exec::ValuePlan& vp : forged.values) {
+    if (vp.value->def() != nullptr) {
+      moved = &vp;
+      break;
+    }
+  }
+  ASSERT_NE(moved, nullptr);
+  moved->slot = 999;
+  const Operation* def = moved->value->def();
+  int index = 0;
+  while (main.body().ops()[index].get() != def) ++index;
+
+  AnalysisReport report;
+  CheckMemoryPlan(main, forged, report);
+  const std::string text = report.ToString();
+  EXPECT_NE(text.find(StrCat("op ", index, " (", OpKindName(def->kind()),
+                             ") result ", moved->value->result_index(),
+                             ": arena slot 999 out of bounds")),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find('%'), std::string::npos) << text;
+}
+
 // ---- Strided-kernel invariants of the compiled stream ----
 
 // The first top-level dot of `program`, which must have a strided kernel.

@@ -1,10 +1,9 @@
-// Tests for the pass-manager compilation pipeline: pass ordering, per-pass
-// statistics accumulation (including fixpoint groups), verifier failures
-// surfacing as typed Status (never an abort), stage printing,
-// the collective-plan invalidation helper, the new reduce-scatter-formation
-// cases, and bit-identical Executable::Run outputs versus the pre-refactor
-// pipeline (the same stage functions composed by hand) on all five example
-// workloads.
+// Tests for the partitioning pipeline (src/pass/pipeline.cc): the stages a
+// real partition runs and their order, stage errors and verifier failures
+// surfacing as typed Status naming the stage (never an abort), the optimize
+// fixpoint, per-stage statistics, stage printing, the collective-plan
+// invalidation helper, and bit-identical Executable::Run outputs versus the
+// same stage functions composed by hand on all five example workloads.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,175 +15,150 @@
 #include "src/models/gns.h"
 #include "src/models/schedules.h"
 #include "src/models/transformer.h"
-#include "src/pass/pass_manager.h"
-#include "src/pass/passes.h"
-#include "src/pass/pipeline.h"
 #include "src/spmd/collectives.h"
 #include "src/spmd/spmd_interpreter.h"
 
 namespace partir {
 namespace {
 
-// ---- Framework scaffolding ----
+// ---- The stages of a real partition ----
 
-/** A tiny sealed program to thread a PipelineState through. */
-struct Fixture {
-  Fixture() : program("fixture") {
-    x = program.AddInput(TensorType({16, 8}), "x");
-    w = program.AddInput(TensorType({8, 8}), "w");
-    program.Return({program.builder().MatMul(x, w)});
+/** x @ w1 @ w2, the chain the stage tests partition. */
+Program BuildStageChain(const std::string& name) {
+  Program program(name);
+  Value* x = program.AddInput(TensorType({16, 8}), "x");
+  Value* w1 = program.AddInput(TensorType({8, 12}), "w1");
+  Value* w2 = program.AddInput(TensorType({12, 8}), "w2");
+  OpBuilder& builder = program.builder();
+  program.Return({builder.MatMul(builder.MatMul(x, w1), w2)});
+  return program;
+}
+
+std::vector<Tactic> BpMp() {
+  return {ManualPartition{"BP", {{"x", 0}}, "B"},
+          ManualPartition{"MP", {{"w1", 1}}, "M"}};
+}
+
+TransformerConfig SmallTransformer() {
+  TransformerConfig config;
+  config.num_layers = 1;
+  config.d_model = 16;
+  config.num_heads = 2;
+  config.head_dim = 8;
+  config.ffw_size = 32;
+  config.vocab = 32;
+  config.batch = 4;
+  config.seq = 4;
+  return config;
+}
+
+std::vector<std::string> StageNames(const Executable& exe) {
+  std::vector<std::string> names;
+  for (const PassStats& stage : exe.pipeline_stats().passes) {
+    names.push_back(stage.name);
   }
-  Program program;
-  Value* x;
-  Value* w;
-  std::vector<Tactic> schedule;
+  return names;
+}
+
+TEST(PipelineStagesTest, BpMpRunsTheStagesInOrder) {
+  Program program = BuildStageChain("stage_order");
+  Mesh mesh({{"B", 4}, {"M", 2}});
+  std::vector<std::string> expected = {"tactic[0]:BP",
+                                       "propagate",
+                                       "tactic[1]:MP",
+                                       "propagate",
+                                       "lower-to-spmd",
+                                       "fuse-gather-slice",
+                                       "form-reduce-scatter",
+                                       "dce",
+                                       "plan-collectives",
+                                       "compile-device-programs"};
   PartitionOptions options;
-  PartitionResult result;
-};
-
-/** Appends its label to a shared log; optionally reports fake changes. */
-class RecordingPass : public Pass {
- public:
-  RecordingPass(std::string label, std::vector<std::string>* log,
-                int* changes_budget = nullptr)
-      : label_(std::move(label)), log_(log),
-        changes_budget_(changes_budget) {}
-  std::string name() const override { return label_; }
-  Status Run(PipelineState& state) override {
-    log_->push_back(label_);
-    if (changes_budget_ != nullptr && *changes_budget_ > 0) {
-      --*changes_budget_;
-      state.changes = 1;
-    }
-    return Status::Ok();
+  options.analyze = false;
+  Executable exe = program.Partition(BpMp(), mesh, options).value();
+  EXPECT_EQ(StageNames(exe), expected);
+  for (const PassStats& stage : exe.pipeline_stats().passes) {
+    EXPECT_GE(stage.runs, 1) << stage.name;
   }
 
- private:
-  std::string label_;
-  std::vector<std::string>* log_;
-  int* changes_budget_;
-};
-
-TEST(PassManagerTest, RunsPassesInRegistrationOrder) {
-  Fixture fixture;
-  PartitionContext ctx(fixture.program.func(), Mesh({{"B", 4}}));
-  PipelineState state(ctx, fixture.schedule, fixture.options, fixture.result);
-  std::vector<std::string> log;
-  PassManager manager;
-  manager.AddPass(std::make_unique<RecordingPass>("first", &log))
-      .AddPass(std::make_unique<RecordingPass>("second", &log))
-      .AddPass(std::make_unique<RecordingPass>("third", &log));
-  ASSERT_TRUE(manager.Run(state).ok());
-  EXPECT_EQ(log, (std::vector<std::string>{"first", "second", "third"}));
-  ASSERT_EQ(manager.stats().passes.size(), 3u);
-  EXPECT_EQ(manager.stats().passes[0].name, "first");
-  EXPECT_EQ(manager.stats().passes[2].name, "third");
-  for (const PassStats& stats : manager.stats().passes) {
-    EXPECT_EQ(stats.runs, 1);
-  }
+  options.analyze = true;
+  expected.push_back("static-analysis");
+  Executable analyzed = program.Partition(BpMp(), mesh, options).value();
+  EXPECT_EQ(StageNames(analyzed), expected);
 }
 
-TEST(PassManagerTest, FixpointGroupRepeatsUntilNoChanges) {
-  Fixture fixture;
-  PartitionContext ctx(fixture.program.func(), Mesh({{"B", 4}}));
-  PipelineState state(ctx, fixture.schedule, fixture.options, fixture.result);
-  std::vector<std::string> log;
-  int budget = 3;  // first three runs report a change, then quiescent
-  std::vector<std::unique_ptr<Pass>> group;
-  group.push_back(
-      std::make_unique<RecordingPass>("rewrite", &log, &budget));
-  group.push_back(std::make_unique<RecordingPass>("cleanup", &log));
-  PassManager manager;
-  manager.AddFixpoint(std::move(group), /*max_iterations=*/8);
-  ASSERT_TRUE(manager.Run(state).ok());
-  // Iterations 1..3 apply a change; iteration 4 is quiescent and stops.
-  ASSERT_EQ(manager.stats().passes.size(), 2u);
-  EXPECT_EQ(manager.stats().passes[0].runs, 4);
-  EXPECT_EQ(manager.stats().passes[0].changes, 3);
-  EXPECT_EQ(manager.stats().passes[1].runs, 4);
-  EXPECT_EQ(log.size(), 8u);
+TEST(PipelineStagesTest, StageErrorIsPrefixedWithTheStageName) {
+  Program program = BuildStageChain("stage_error");
+  StatusOr<Executable> exe = program.Partition(
+      {ManualPartition{"BP", {{"no_such_input", 0}}, "B"}}, Mesh({{"B", 4}}));
+  ASSERT_FALSE(exe.ok());
+  EXPECT_EQ(exe.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(exe.status().message().find("pass 'tactic[0]:BP'"),
+            std::string::npos)
+      << exe.status().ToString();
 }
 
-TEST(PassManagerTest, FixpointGroupHonorsMaxIterations) {
-  Fixture fixture;
-  PartitionContext ctx(fixture.program.func(), Mesh({{"B", 4}}));
-  PipelineState state(ctx, fixture.schedule, fixture.options, fixture.result);
-  std::vector<std::string> log;
-  int budget = 100;  // never quiescent
-  std::vector<std::unique_ptr<Pass>> group;
-  group.push_back(
-      std::make_unique<RecordingPass>("rewrite", &log, &budget));
-  PassManager manager;
-  manager.AddFixpoint(std::move(group), /*max_iterations=*/3);
-  ASSERT_TRUE(manager.Run(state).ok());
-  EXPECT_EQ(manager.stats().passes[0].runs, 3);
+TEST(PipelineStagesTest, VerifierFailureNamesTheStageThatRanBeforeIt) {
+  // An unused neg(16x8) declared 8x8, appended by hand past the builder's
+  // typing rule: the traced function no longer verifies.
+  Program program("mistyped");
+  Value* x = program.AddInput(TensorType({16, 8}), "x");
+  Value* w = program.AddInput(TensorType({8, 8}), "w");
+  program.func()->body().Append(std::make_unique<Operation>(
+      OpKind::kNeg, std::vector<Value*>{x},
+      std::vector<Type>{TensorType({8, 8})}));
+  program.Return({program.builder().MatMul(x, w)});
+  std::vector<Tactic> bp = {ManualPartition{"BP", {{"x", 0}}, "B"}};
+  Mesh mesh({{"B", 4}});
+
+  PartitionOptions options;
+  options.verify_passes = true;
+  options.analyze = false;
+  StatusOr<Executable> verified = program.Partition(bp, mesh, options);
+  ASSERT_FALSE(verified.ok());
+  EXPECT_EQ(verified.status().code(), StatusCode::kInternal);
+  EXPECT_NE(verified.status().message().find(
+                "IR verification failed after pass 'tactic[0]:BP'"),
+            std::string::npos)
+      << verified.status().ToString();
+
+  options.verify_passes = false;
+  StatusOr<Executable> unverified = program.Partition(bp, mesh, options);
+  ASSERT_TRUE(unverified.ok()) << unverified.status().ToString();
+  EXPECT_EQ(unverified->pipeline_stats().verify_runs, 0);
 }
 
-// ---- Verifier failures surface as typed Status ----
-
-/** Corrupts the traced function with a type-mismatched op. */
-class CorruptingPass : public Pass {
- public:
-  std::string name() const override { return "corrupt"; }
-  Status Run(PipelineState& state) override {
-    Block& body = state.ctx.func()->body();
-    OpBuilder builder(&body);
-    // neg(16x8) typed as 4x4: the unary-elementwise verifier rule fails.
-    builder.Create(OpKind::kNeg, {body.arg(0)}, {TensorType({4, 4})});
-    state.changes = 1;
-    return Status::Ok();
-  }
-};
-
-TEST(PassManagerTest, VerifierFailureIsTypedStatusNamingThePass) {
-  Fixture fixture;
-  PartitionContext ctx(fixture.program.func(), Mesh({{"B", 4}}));
-  PipelineState state(ctx, fixture.schedule, fixture.options, fixture.result);
-  PipelineOptions options;
-  options.verify_after_each_pass = true;
-  PassManager manager(options);
-  std::vector<std::string> log;
-  manager.AddPass(std::make_unique<CorruptingPass>())
-      .AddPass(std::make_unique<RecordingPass>("after", &log));
-  Status status = manager.Run(state);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_NE(status.message().find("corrupt"), std::string::npos);
-  // The pipeline stopped: the pass after the violation never ran.
-  EXPECT_TRUE(log.empty());
-}
-
-TEST(PassManagerTest, VerificationOffSkipsTheCheck) {
-  Fixture fixture;
-  PartitionContext ctx(fixture.program.func(), Mesh({{"B", 4}}));
-  PipelineState state(ctx, fixture.schedule, fixture.options, fixture.result);
-  PipelineOptions options;
-  options.verify_after_each_pass = false;
-  PassManager manager(options);
-  manager.AddPass(std::make_unique<CorruptingPass>());
-  EXPECT_TRUE(manager.Run(state).ok());
-  EXPECT_EQ(manager.stats().verify_runs, 0);
-}
-
-/** A pass whose Run itself fails. */
-class FailingPass : public Pass {
- public:
-  std::string name() const override { return "failing"; }
-  Status Run(PipelineState&) override {
-    return InvalidArgumentError("intentional failure");
-  }
-};
-
-TEST(PassManagerTest, PassErrorIsPrefixedWithThePassName) {
-  Fixture fixture;
-  PartitionContext ctx(fixture.program.func(), Mesh({{"B", 4}}));
-  PipelineState state(ctx, fixture.schedule, fixture.options, fixture.result);
-  PassManager manager;
-  manager.AddPass(std::make_unique<FailingPass>());
-  Status status = manager.Run(state);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("pass 'failing'"), std::string::npos);
+TEST(PipelineStagesTest, OptimizeFixpointStopsAfterAQuietRound) {
+  TransformerConfig config = SmallTransformer();
+  Program program = Program::Capture([&](Module& module) {
+    return BuildTransformerTrainingStep(module, config);
+  });
+  Executable exe =
+      program
+          .Partition(schedules::TransformerBPMPZ3(),
+                     Mesh({{"batch", 2}, {"model", 2}}))
+          .value();
+  const PipelineStats& stats = exe.pipeline_stats();
+  const PassStats* fuse = stats.Find("fuse-gather-slice");
+  const PassStats* form = stats.Find("form-reduce-scatter");
+  const PassStats* dce = stats.Find("dce");
+  ASSERT_NE(fuse, nullptr);
+  ASSERT_NE(form, nullptr);
+  ASSERT_NE(dce, nullptr);
+  // One run per round, every round running all three stages.
+  EXPECT_EQ(form->runs, fuse->runs);
+  EXPECT_EQ(dce->runs, fuse->runs);
+  // At least one round rewrote, and the loop ended before its cap of 8
+  // rounds, which only a round without changes does.
+  EXPECT_GT(fuse->changes + form->changes + dce->changes, 0);
+  EXPECT_GE(fuse->runs, 2);
+  EXPECT_LT(fuse->runs, 8);
+  // That last round left a fixpoint: sweeping the module once more changes
+  // nothing.
+  SpmdModule& spmd = exe.mutable_spmd();
+  EXPECT_EQ(RunSpmdPeephole(spmd, kRewriteGatherSlice), 0);
+  EXPECT_EQ(RunSpmdPeephole(spmd, kRewriteReduceScatter), 0);
+  EXPECT_EQ(EliminateDeadCode(*spmd.mutable_main()), 0);
 }
 
 // ---- Pipeline statistics through the facade ----
@@ -268,22 +242,6 @@ TEST(PipelineStatsTest, CacheHitCarriesTheMissRunStats) {
 }
 
 // ---- Stage printing ----
-
-/** x @ w1 @ w2, the chain the stage tests partition. */
-Program BuildStageChain(const std::string& name) {
-  Program program(name);
-  Value* x = program.AddInput(TensorType({16, 8}), "x");
-  Value* w1 = program.AddInput(TensorType({8, 12}), "w1");
-  Value* w2 = program.AddInput(TensorType({12, 8}), "w2");
-  OpBuilder& builder = program.builder();
-  program.Return({builder.MatMul(builder.MatMul(x, w1), w2)});
-  return program;
-}
-
-std::vector<Tactic> BpMp() {
-  return {ManualPartition{"BP", {{"x", 0}}, "B"},
-          ManualPartition{"MP", {{"w1", 1}}, "M"}};
-}
 
 TEST(StagePrintTest, RespecializedExecutablesPrintTheirOwnSchedule) {
   // Respecializing away prints the new schedule's stages; respecializing
@@ -433,19 +391,6 @@ void ExpectMatchesPreRefactorPipeline(Program& program,
   EXPECT_EQ(exe.Collectives().all_reduce, legacy.all_reduce) << label;
   EXPECT_EQ(exe.Collectives().reduce_scatter, legacy.reduce_scatter) << label;
   EXPECT_EQ(exe.Collectives().all_to_all, legacy.all_to_all) << label;
-}
-
-TransformerConfig SmallTransformer() {
-  TransformerConfig config;
-  config.num_layers = 1;
-  config.d_model = 16;
-  config.num_heads = 2;
-  config.head_dim = 8;
-  config.ffw_size = 32;
-  config.vocab = 32;
-  config.batch = 4;
-  config.seq = 4;
-  return config;
 }
 
 TEST(PreRefactorEquivalenceTest, QuickstartChain) {

@@ -332,9 +332,7 @@ TEST(SpmdOptimizeTest, ReduceScatterFormsAcrossPartialAxisOverlap) {
   Value* sliced = builder.AllSlice(reduced, {{"a"}, {"b"}});
   builder.Return({sliced});
 
-  EXPECT_GT(RunSpmdPeephole(
-                spmd, kRewriteReduceScatter | kRewriteReduceScatterPartial),
-            0);
+  EXPECT_GT(RunSpmdPeephole(spmd, kRewriteReduceScatter), 0);
   EliminateDeadCode(*spmd.mutable_main());
   CollectiveStats stats = CountCollectives(*spmd.module, spmd.mesh);
   EXPECT_EQ(stats.all_reduce, 0);
@@ -362,23 +360,6 @@ TEST(SpmdOptimizeTest, PartialOverlapKeepsResidualAllReduce) {
   EXPECT_EQ(spmd.main()->results()[0]->tensor_type(), TensorType({4, 4}));
 }
 
-TEST(SpmdOptimizeTest, PartialOverlapIsGatedBehindItsRewriteBit) {
-  // Without kRewriteReduceScatterPartial the legacy subset-only behavior
-  // holds: a partially overlapping chain is left alone.
-  Mesh mesh({{"a", 2}, {"b", 2}});
-  OpBuilder builder(nullptr);
-  SpmdModule spmd = EmptySpmd(mesh, builder);
-  Value* x = spmd.main()->body().AddArg(TensorType({8, 8}), "x");
-  Value* reduced = builder.AllReduce(x, {"a"}, "sum");
-  Value* sliced = builder.AllSlice(reduced, {{"a"}, {"b"}});
-  builder.Return({sliced});
-
-  EXPECT_EQ(RunSpmdPeephole(spmd, kRewriteReduceScatter), 0);
-  CollectiveStats stats = CountCollectives(*spmd.module, spmd.mesh);
-  EXPECT_EQ(stats.all_reduce, 1);
-  EXPECT_EQ(stats.reduce_scatter, 0);
-}
-
 TEST(SpmdOptimizeTest, AdjacentAllReducesMergeAndFullyScatter) {
   // all_reduce("b") of all_reduce("a") merges into one multi-axis
   // all_reduce, which the following two-axis slice turns into a single
@@ -401,24 +382,21 @@ TEST(SpmdOptimizeTest, AdjacentAllReducesMergeAndFullyScatter) {
 }
 
 TEST(SpmdOptimizeTest, SubsetFormationUnchangedByPartialBit) {
-  // The legacy subset case (sliced axes all reduced) forms the same
-  // reduce_scatter + leftover all_reduce with or without the partial bit.
-  for (unsigned mask :
-       {kRewriteReduceScatter,
-        kRewriteReduceScatter | kRewriteReduceScatterPartial}) {
-    Mesh mesh({{"a", 2}, {"b", 2}});
-    OpBuilder builder(nullptr);
-    SpmdModule spmd = EmptySpmd(mesh, builder);
-    Value* x = spmd.main()->body().AddArg(TensorType({8, 8}), "x");
-    Value* reduced = builder.AllReduce(x, {"a", "b"}, "sum");
-    Value* sliced = builder.AllSlice(reduced, {{"a"}, {}});
-    builder.Return({sliced});
-    EXPECT_GT(RunSpmdPeephole(spmd, mask), 0);
-    EliminateDeadCode(*spmd.mutable_main());
-    CollectiveStats stats = CountCollectives(*spmd.module, spmd.mesh);
-    EXPECT_EQ(stats.reduce_scatter, 1) << "mask " << mask;
-    EXPECT_EQ(stats.all_reduce, 1) << "mask " << mask;  // leftover {b}
-  }
+  // The subset case (sliced axes all reduced) forms a reduce_scatter plus
+  // a leftover all_reduce and no residual all_slice.
+  Mesh mesh({{"a", 2}, {"b", 2}});
+  OpBuilder builder(nullptr);
+  SpmdModule spmd = EmptySpmd(mesh, builder);
+  Value* x = spmd.main()->body().AddArg(TensorType({8, 8}), "x");
+  Value* reduced = builder.AllReduce(x, {"a", "b"}, "sum");
+  Value* sliced = builder.AllSlice(reduced, {{"a"}, {}});
+  builder.Return({sliced});
+  EXPECT_GT(RunSpmdPeephole(spmd, kRewriteReduceScatter), 0);
+  EliminateDeadCode(*spmd.mutable_main());
+  CollectiveStats stats = CountCollectives(*spmd.module, spmd.mesh);
+  EXPECT_EQ(stats.reduce_scatter, 1);
+  EXPECT_EQ(stats.all_reduce, 1);  // leftover {b}
+  EXPECT_EQ(stats.all_slice, 0);
 }
 
 TEST(SpmdOptimizeTest, SweepRewritesInPlace) {
