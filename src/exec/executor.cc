@@ -35,30 +35,8 @@ Tensor& EnsureOut(Arena& arena, const Instruction& inst) {
 /** Executes one non-collective instruction on one device's arena. */
 void ExecLocal(const Instruction& inst, Arena& arena) {
   if (inst.chain != nullptr) {
-    // EnsureOut first: every slot of a chain holds the same element count,
-    // so the output buffer is never reallocated out from under an aliasing
-    // input pointer taken below.
-    Tensor& out = EnsureOut(arena, inst);
-    const FusedChain& chain = *inst.chain;
-    const float* in = arena[chain.input_slot].data().data();
-    const float* external_buf[16];
-    std::vector<const float*> external_heap;
-    const float* const* externals;
-    if (chain.steps.size() <= 16) {
-      for (size_t s = 0; s < chain.steps.size(); ++s) {
-        int slot = chain.steps[s].external_slot;
-        external_buf[s] = slot >= 0 ? arena[slot].data().data() : nullptr;
-      }
-      externals = external_buf;
-    } else {
-      external_heap.resize(chain.steps.size());
-      for (size_t s = 0; s < chain.steps.size(); ++s) {
-        int slot = chain.steps[s].external_slot;
-        external_heap[s] = slot >= 0 ? arena[slot].data().data() : nullptr;
-      }
-      externals = external_heap.data();
-    }
-    RunFusedChain(chain, in, externals, out.data().data(), inst.result_numel);
+    RunFusedChain(*inst.chain, arena, EnsureOut(arena, inst).data().data(),
+                  inst.result_numel);
     return;
   }
   if (inst.baked != nullptr) {
@@ -67,33 +45,18 @@ void ExecLocal(const Instruction& inst, Arena& arena) {
               out.data().begin());
     return;
   }
-  if (IsUnaryElementwise(inst.kind)) {
-    if (inst.in_place_operand == 0) {
-      float* p = arena[inst.operand_slots[0]].data().data();
-      for (int64_t k = 0; k < inst.result_numel; ++k) {
-        p[k] = ApplyUnaryOp(inst.kind, p[k]);
-      }
-    } else {
-      const float* in = arena[inst.operand_slots[0]].data().data();
-      Tensor& out = EnsureOut(arena, inst);
-      float* o = out.data().data();
-      for (int64_t k = 0; k < inst.result_numel; ++k) {
-        o[k] = ApplyUnaryOp(inst.kind, in[k]);
-      }
-    }
-    return;
-  }
-  if (IsBinaryElementwise(inst.kind)) {
-    // The kernels read both inputs at k before writing k, so the output
-    // may alias either (or both) operands.
+  if (IsUnaryElementwise(inst.kind) || IsBinaryElementwise(inst.kind)) {
+    // The span kernels let the result be exactly an operand.
+    float* out = inst.in_place_operand >= 0
+                     ? arena[inst.operand_slots[inst.in_place_operand]]
+                           .data().data()
+                     : EnsureOut(arena, inst).data().data();
     const float* a = arena[inst.operand_slots[0]].data().data();
-    const float* b = arena[inst.operand_slots[1]].data().data();
-    float* o = inst.in_place_operand >= 0
-                   ? arena[inst.operand_slots[inst.in_place_operand]]
-                         .data().data()
-                   : EnsureOut(arena, inst).data().data();
-    for (int64_t k = 0; k < inst.result_numel; ++k) {
-      o[k] = ApplyBinaryOp(inst.kind, a[k], b[k]);
+    if (IsUnaryElementwise(inst.kind)) {
+      ApplyUnarySpan(inst.kind, a, out, inst.result_numel);
+    } else {
+      ApplyBinarySpan(inst.kind, a, arena[inst.operand_slots[1]].data().data(),
+                      out, inst.result_numel);
     }
     return;
   }

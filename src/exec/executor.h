@@ -11,8 +11,8 @@
  * threading, the pool, rendezvous and arrival-order folding live.
  *
  * Outputs are bit-identical to the sequential reference walker
- * (ExecBackend::kInterpret): elementwise kernels share the interpreter's
- * scalar functions; the strided dot, reduce, transpose and
+ * (ExecBackend::kInterpret): elementwise ops, fused or single, run the
+ * interpreter's span kernels; the strided dot, reduce, transpose and
  * broadcast_in_dim kernels (kernels.h) write into the result's arena slot
  * and sum or fold in the walker's order; convolutions, gather,
  * scatter_add, static_slice and concatenate fall back to the interpreter's

@@ -10,24 +10,28 @@
 namespace partir {
 namespace exec {
 
-void RunFusedChain(const FusedChain& chain, const float* in,
-                   const float* const* externals, float* out, int64_t numel) {
-  const ChainStep* steps = chain.steps.data();
-  const size_t num_steps = chain.steps.size();
-  for (int64_t k = 0; k < numel; ++k) {
-    float v = in[k];
-    for (size_t s = 0; s < num_steps; ++s) {
-      const ChainStep& step = steps[s];
-      if (step.external_slot < 0) {
-        v = IsUnaryElementwise(step.kind) ? ApplyUnaryOp(step.kind, v)
-                                          : ApplyBinaryOp(step.kind, v, v);
+void RunFusedChain(const FusedChain& chain, const std::vector<Tensor>& arena,
+                   float* out, int64_t numel) {
+  const float* in = arena[chain.input_slot].data().data();
+  const ChainStep& last = chain.steps.back();
+  float block[kChainBlock];
+  for (int64_t k = 0; k < numel; k += kChainBlock) {
+    const int64_t n = std::min(kChainBlock, numel - k);
+    const float* v = in + k;
+    for (const ChainStep& step : chain.steps) {
+      // The last step writes the result; earlier ones the local block.
+      float* dst = &step == &last ? out + k : block;
+      if (IsUnaryElementwise(step.kind)) {
+        ApplyUnarySpan(step.kind, v, dst, n);
+      } else if (step.external_slot < 0) {
+        ApplyBinarySpan(step.kind, v, v, dst, n);
       } else {
-        float e = externals[s][k];
-        v = step.carried_lhs ? ApplyBinaryOp(step.kind, v, e)
-                             : ApplyBinaryOp(step.kind, e, v);
+        const float* e = arena[step.external_slot].data().data() + k;
+        ApplyBinarySpan(step.kind, step.carried_lhs ? v : e,
+                        step.carried_lhs ? e : v, dst, n);
       }
+      v = dst;
     }
-    out[k] = v;
   }
 }
 

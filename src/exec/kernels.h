@@ -5,11 +5,13 @@
  * relative to the reference interpreter.
  *
  *  - Fused elementwise chains: a run of consecutive elementwise
- *    instructions whose intermediates die immediately executes as ONE loop
- *    over the data, carrying the intermediate in a register. The chain's
- *    per-element operation order is exactly the unfused order, so outputs
- *    are bit-identical; intermediates never touch the arena at all (the
- *    memory planner's slots for them simply stay unwritten).
+ *    instructions whose intermediates die immediately executes one block
+ *    of kChainBlock elements at a time: every step runs the interpreter's
+ *    span kernel over the block, carrying the intermediate in a local
+ *    buffer that stays in L1. Each element sees exactly the unfused
+ *    operations in the unfused order, so outputs are bit-identical;
+ *    intermediates never touch the arena at all (the memory planner's slots
+ *    for them simply stay unwritten).
  *
  *  - Strided kernels: every dot, reduce, transpose and broadcast_in_dim
  *    runs as a loop nest over its row-major operand buffers, described by
@@ -60,14 +62,16 @@ struct FusedChain {
   std::vector<ChainStep> steps;
 };
 
+/** Elements per block of a fused chain. */
+constexpr int64_t kChainBlock = 256;
+
 /**
- * Executes `chain` over `numel` elements. externals[s] is the data pointer
- * for steps[s]'s external operand (null for carried-only steps). `out` may
- * alias `in` or any external: element k is fully read before out[k] is
- * written, and no element is revisited.
+ * Executes `chain` over `numel` elements, reading its input and externals
+ * from `arena` by slot. `out` may be the input's or any external's buffer:
+ * a block is fully read before it is written, and no block is revisited.
  */
-void RunFusedChain(const FusedChain& chain, const float* in,
-                   const float* const* externals, float* out, int64_t numel);
+void RunFusedChain(const FusedChain& chain, const std::vector<Tensor>& arena,
+                   float* out, int64_t numel);
 
 /**
  * A dot, reduce, transpose or broadcast_in_dim as a strided loop nest over

@@ -7,28 +7,84 @@
 
 namespace partir {
 
-float ApplyUnaryOp(OpKind kind, float x) {
+namespace {
+
+/**
+ * out[i] = fn(in[i]). Each group of four loads before it stores, so `out`
+ * may be exactly `in` and the group vectorizes at -O2.
+ */
+template <typename Fn>
+void MapSpan(const float* in, float* out, int64_t n, Fn fn) {
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float x0 = in[i], x1 = in[i + 1], x2 = in[i + 2], x3 = in[i + 3];
+    out[i] = fn(x0);
+    out[i + 1] = fn(x1);
+    out[i + 2] = fn(x2);
+    out[i + 3] = fn(x3);
+  }
+  for (; i < n; ++i) out[i] = fn(in[i]);
+}
+
+/** out[i] = fn(a[i], b[i]), grouped as MapSpan. */
+template <typename Fn>
+void MapSpan(const float* a, const float* b, float* out, int64_t n, Fn fn) {
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float a0 = a[i], a1 = a[i + 1], a2 = a[i + 2], a3 = a[i + 3];
+    const float b0 = b[i], b1 = b[i + 1], b2 = b[i + 2], b3 = b[i + 3];
+    out[i] = fn(a0, b0);
+    out[i + 1] = fn(a1, b1);
+    out[i + 2] = fn(a2, b2);
+    out[i + 3] = fn(a3, b3);
+  }
+  for (; i < n; ++i) out[i] = fn(a[i], b[i]);
+}
+
+}  // namespace
+
+void ApplyUnarySpan(OpKind kind, const float* in, float* out, int64_t n) {
   switch (kind) {
-    case OpKind::kNeg: return -x;
-    case OpKind::kExp: return std::exp(x);
-    case OpKind::kLog: return std::log(x);
-    case OpKind::kTanh: return std::tanh(x);
-    case OpKind::kRsqrt: return 1.0f / std::sqrt(x);
-    case OpKind::kSqrt: return std::sqrt(x);
-    case OpKind::kLogistic: return 1.0f / (1.0f + std::exp(-x));
+    case OpKind::kNeg:
+      return MapSpan(in, out, n, [](float x) { return -x; });
+    case OpKind::kExp:
+      return MapSpan(in, out, n, [](float x) { return std::exp(x); });
+    case OpKind::kLog:
+      return MapSpan(in, out, n, [](float x) { return std::log(x); });
+    case OpKind::kTanh:
+      return MapSpan(in, out, n, [](float x) { return std::tanh(x); });
+    case OpKind::kRsqrt:
+      return MapSpan(in, out, n,
+                     [](float x) { return 1.0f / std::sqrt(x); });
+    case OpKind::kSqrt:
+      return MapSpan(in, out, n, [](float x) { return std::sqrt(x); });
+    case OpKind::kLogistic:
+      return MapSpan(in, out, n,
+                     [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
     default: PARTIR_UNREACHABLE("not unary");
   }
 }
 
-float ApplyBinaryOp(OpKind kind, float a, float b) {
+void ApplyBinarySpan(OpKind kind, const float* a, const float* b, float* out,
+                     int64_t n) {
   switch (kind) {
-    case OpKind::kAdd: return a + b;
-    case OpKind::kSub: return a - b;
-    case OpKind::kMul: return a * b;
-    case OpKind::kDiv: return a / b;
-    case OpKind::kMax: return std::max(a, b);
-    case OpKind::kMin: return std::min(a, b);
-    case OpKind::kPow: return std::pow(a, b);
+    case OpKind::kAdd:
+      return MapSpan(a, b, out, n, [](float x, float y) { return x + y; });
+    case OpKind::kSub:
+      return MapSpan(a, b, out, n, [](float x, float y) { return x - y; });
+    case OpKind::kMul:
+      return MapSpan(a, b, out, n, [](float x, float y) { return x * y; });
+    case OpKind::kDiv:
+      return MapSpan(a, b, out, n, [](float x, float y) { return x / y; });
+    case OpKind::kMax:
+      return MapSpan(a, b, out, n,
+                     [](float x, float y) { return std::max(x, y); });
+    case OpKind::kMin:
+      return MapSpan(a, b, out, n,
+                     [](float x, float y) { return std::min(x, y); });
+    case OpKind::kPow:
+      return MapSpan(a, b, out, n,
+                     [](float x, float y) { return std::pow(x, y); });
     default: PARTIR_UNREACHABLE("not binary");
   }
 }
@@ -299,13 +355,16 @@ class Interpreter {
     if (action == "sum") {
       // #sum loops support any associative combiner via the "reduction"
       // attribute (the paper's footnote 4); default is addition.
-      bool is_max = op.attrs().GetOr<std::string>("reduction", "sum") == "max";
+      OpKind combine =
+          op.attrs().GetOr<std::string>("reduction", "sum") == "max"
+              ? OpKind::kMax
+              : OpKind::kAdd;
       Tensor acc = run_iteration(0);
       for (int64_t r = 1; r < count; ++r) {
-        acc = Tensor::Combine(acc, run_iteration(r),
-                              [is_max](float a, float b) {
-                                return is_max ? std::max(a, b) : a + b;
-                              });
+        Tensor part = run_iteration(r);
+        PARTIR_CHECK(part.dims() == acc.dims()) << "#sum shape mismatch";
+        ApplyBinarySpan(combine, acc.data().data(), part.data().data(),
+                        acc.data().data(), acc.size());
       }
       Bind(op.result(), std::move(acc));
       return;
@@ -339,18 +398,18 @@ std::vector<Tensor> EvalOp(const Operation& op,
 std::vector<Tensor> EvalOpRef(const Operation& op,
                               const std::vector<const Tensor*>& operands) {
   OpKind kind = op.kind();
-  if (IsUnaryElementwise(kind)) {
+  if (IsUnaryElementwise(kind) || IsBinaryElementwise(kind)) {
     Tensor out(operands[0]->dims());
-    for (int64_t i = 0; i < out.size(); ++i) {
-      out.at(i) = ApplyUnaryOp(kind, operands[0]->at(i));
+    const float* a = operands[0]->data().data();
+    if (IsUnaryElementwise(kind)) {
+      ApplyUnarySpan(kind, a, out.data().data(), out.size());
+    } else {
+      PARTIR_CHECK(operands[1]->dims() == out.dims())
+          << "elementwise shape mismatch";
+      ApplyBinarySpan(kind, a, operands[1]->data().data(), out.data().data(),
+                      out.size());
     }
     return {std::move(out)};
-  }
-  if (IsBinaryElementwise(kind)) {
-    return {Tensor::Combine(*operands[0], *operands[1],
-                            [kind](float a, float b) {
-                              return ApplyBinaryOp(kind, a, b);
-                            })};
   }
   switch (kind) {
     case OpKind::kConstant: {

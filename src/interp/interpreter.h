@@ -4,7 +4,8 @@
  * the paper's *sequential* semantics (Figure 13): a #tile loop concatenates
  * per-iteration results along the tiled dim, a #sum loop accumulates them,
  * and an [any] loop evaluates a single iteration. This gives an executable
- * specification against which partitioned programs are verified.
+ * specification against which partitioned programs are verified. It also
+ * owns the elementwise span kernels that every engine runs.
  */
 #ifndef PARTIR_INTERP_INTERPRETER_H_
 #define PARTIR_INTERP_INTERPRETER_H_
@@ -39,12 +40,15 @@ std::vector<Tensor> EvalOpRef(const Operation& op,
 void EvalOpInEnv(const Operation& op, Env& env);
 
 /**
- * Scalar kernels of the unary / binary elementwise ops. Shared by the
- * reference interpreter and the compiled executor so the two backends stay
- * bit-identical by construction.
+ * Span kernels of the unary / binary elementwise ops: out[i] = op(in[i]),
+ * or op(a[i], b[i]), for i in [0, n). `out` may be exactly `in`, `a` or
+ * `b`, but must not otherwise overlap them. The walker, the compiled
+ * executor's fused chains and single ops, and the collectives' reductions
+ * all run these, so every engine applies the same per-element expression.
  */
-float ApplyUnaryOp(OpKind kind, float x);
-float ApplyBinaryOp(OpKind kind, float a, float b);
+void ApplyUnarySpan(OpKind kind, const float* in, float* out, int64_t n);
+void ApplyBinarySpan(OpKind kind, const float* a, const float* b, float* out,
+                     int64_t n);
 
 /**
  * Evaluates `func` on the given positional inputs, returning the values of

@@ -66,16 +66,6 @@ Tensor Tensor::Concat(const std::vector<Tensor>& parts, int64_t dim) {
   return out;
 }
 
-Tensor Tensor::Combine(const Tensor& a, const Tensor& b,
-                       const std::function<float(float, float)>& fn) {
-  PARTIR_CHECK(a.dims() == b.dims()) << "combine shape mismatch";
-  Tensor out(a.dims());
-  for (int64_t i = 0; i < a.size(); ++i) {
-    out.at(i) = fn(a.at(i), b.at(i));
-  }
-  return out;
-}
-
 Tensor Tensor::Random(std::vector<int64_t> dims, uint64_t seed) {
   Tensor out(std::move(dims));
   // SplitMix64, deterministic across platforms.

@@ -97,10 +97,6 @@ class Tensor {
   /** Concatenates tensors along `dim`. */
   static Tensor Concat(const std::vector<Tensor>& parts, int64_t dim);
 
-  /** Elementwise binary combine (shapes must match). */
-  static Tensor Combine(const Tensor& a, const Tensor& b,
-                        const std::function<float(float, float)>& fn);
-
   /** Returns a filled tensor of random values in [-0.5, 0.5] (seeded). */
   static Tensor Random(std::vector<int64_t> dims, uint64_t seed);
 

@@ -1,6 +1,6 @@
 #include "src/spmd/collectives.h"
 
-#include <algorithm>
+#include "src/interp/interpreter.h"
 
 namespace partir {
 
@@ -217,13 +217,6 @@ double RingBytes(const Operation& op, const Mesh& mesh) {
 
 namespace {
 
-/** Elementwise combine of the reduction kind (sum or max). */
-Tensor CombineReduce(bool is_max, const Tensor& a, const Tensor& b) {
-  return Tensor::Combine(a, b, [is_max](float x, float y) {
-    return is_max ? std::max(x, y) : x + y;
-  });
-}
-
 /** Splits a group-reduced tensor into reduce_scatter's per-position
  *  shards. */
 std::vector<Tensor> ScatterReduced(const CollectiveOp& op,
@@ -236,11 +229,13 @@ std::vector<Tensor> ScatterReduced(const CollectiveOp& op,
   return out;
 }
 
-/** Reduces group inputs in position order. */
+/** Reduces group inputs (sum or max) into one buffer in position order. */
 Tensor ReduceInPositionOrder(bool is_max, const std::vector<Tensor>& inputs) {
   Tensor acc = inputs[0];
   for (size_t p = 1; p < inputs.size(); ++p) {
-    acc = CombineReduce(is_max, acc, inputs[p]);
+    PARTIR_CHECK(inputs[p].dims() == acc.dims()) << "reduce shape mismatch";
+    ApplyBinarySpan(is_max ? OpKind::kMax : OpKind::kAdd, acc.data().data(),
+                    inputs[p].data().data(), acc.data().data(), acc.size());
   }
   return acc;
 }

@@ -622,29 +622,58 @@ Tensor CaseInput(const std::vector<int64_t>& dims, size_t operand,
   return t;
 }
 
-// Runs each case as a hand-built device-local module (so no pass folds the
-// op away), replicated on two devices, compiled at num_threads 1 and 0 and
-// memcmp'd against the walker; the op must have taken a strided kernel.
+// A hand-built device-local module replicated on two devices, so no pass
+// folds or reorders its ops: one argument per shape, returning `build`'s
+// results.
+SpmdModule ReplicatedModule(
+    const std::vector<std::vector<int64_t>>& operands,
+    const std::function<std::vector<Value*>(
+        OpBuilder&, const std::vector<Value*>&)>& build) {
+  SpmdModule spmd;
+  spmd.module = std::make_unique<Module>();
+  spmd.mesh = Mesh({{"B", 2}});
+  Func* func = spmd.module->AddFunc("main");
+  std::vector<Value*> args;
+  for (size_t i = 0; i < operands.size(); ++i) {
+    args.push_back(func->body().AddArg(TensorType(operands[i]),
+                                       "x" + std::to_string(i)));
+    spmd.input_shardings.push_back(
+        ValueSharding{AxesPerDim(operands[i].size())});
+  }
+  OpBuilder builder(&func->body());
+  std::vector<Value*> results = build(builder, args);
+  builder.Return(results);
+  for (const Value* result : results) {
+    spmd.output_shardings.push_back(
+        ValueSharding{AxesPerDim(result->tensor_type().rank())});
+  }
+  return spmd;
+}
+
+// Compiled Runs of `spmd` at num_threads 1 and 0 equal the walker's bit for
+// bit.
+void ExpectCompiledMatchesWalker(const SpmdModule& spmd,
+                                 const std::vector<Tensor>& inputs,
+                                 const std::string& label) {
+  std::vector<Tensor> want = RunSpmd(spmd, inputs, Walker()).value();
+  for (int num_threads : {1, 0}) {
+    RunOptions compiled;
+    compiled.num_threads = num_threads;
+    ExpectBitIdentical(want, RunSpmd(spmd, inputs, compiled).value(),
+                       label + " (threads=" + std::to_string(num_threads) +
+                           ")");
+  }
+}
+
+// Runs each case as a replicated module, compiled at num_threads 1 and 0
+// and memcmp'd against the walker; the op must have taken a strided kernel.
 void ExpectSingleOpsAgree(const std::vector<SingleOpCase>& cases) {
   for (const SingleOpCase& c : cases) {
     SCOPED_TRACE(c.label);
-    SpmdModule spmd;
-    spmd.module = std::make_unique<Module>();
-    spmd.mesh = Mesh({{"B", 2}});
-    Func* func = spmd.module->AddFunc("main");
-    std::vector<Value*> args;
-    for (size_t i = 0; i < c.operands.size(); ++i) {
-      args.push_back(func->body().AddArg(TensorType(c.operands[i]),
-                                         "x" + std::to_string(i)));
-      spmd.input_shardings.push_back(
-          ValueSharding{AxesPerDim(c.operands[i].size())});
-    }
-    OpBuilder builder(&func->body());
-    Value* result = c.build(builder, args);
-    builder.Return({result});
-    spmd.output_shardings.push_back(
-        ValueSharding{AxesPerDim(result->tensor_type().rank())});
-
+    SpmdModule spmd = ReplicatedModule(
+        c.operands, [&](OpBuilder& b, const std::vector<Value*>& x) {
+          return std::vector<Value*>{c.build(b, x)};
+        });
     std::shared_ptr<const exec::DeviceProgram> program =
         exec::CompileDeviceProgram(spmd).value();
     int strided = 0;
@@ -656,14 +685,7 @@ void ExpectSingleOpsAgree(const std::vector<SingleOpCase>& cases) {
     for (size_t i = 0; i < c.operands.size(); ++i) {
       inputs.push_back(CaseInput(c.operands[i], i, c.fill));
     }
-    std::vector<Tensor> want = RunSpmd(spmd, inputs, Walker()).value();
-    for (int num_threads : {1, 0}) {
-      RunOptions compiled;
-      compiled.num_threads = num_threads;
-      ExpectBitIdentical(want, RunSpmd(spmd, inputs, compiled).value(),
-                         c.label + " (threads=" +
-                             std::to_string(num_threads) + ")");
-    }
+    ExpectCompiledMatchesWalker(spmd, inputs, c.label);
   }
 }
 
@@ -764,6 +786,103 @@ TEST(ExecBackendTest, StridedBroadcastsMatchTheWalker) {
                      }});
   }
   ExpectSingleOpsAgree(cases);
+}
+
+// ---- Fused chains, a block at a time ----
+
+// The one fused chain of `program`, or null when it has none or several.
+const exec::Instruction* OnlyChain(const exec::DeviceProgram& program) {
+  const exec::Instruction* chain = nullptr;
+  for (const exec::Instruction& inst : program.instructions) {
+    if (inst.chain == nullptr) continue;
+    if (chain != nullptr) return nullptr;
+    chain = &inst;
+  }
+  return chain;
+}
+
+TEST(ExecBackendTest, BlockedChainsMatchTheWalker) {
+  using Args = std::vector<Value*>;
+  // 20 steps, past the old 16-entry externals array: every unary and
+  // binary kind, with carried-lhs, carried-rhs and carried-only operands.
+  // x0 is read again after the head, so the result lands in a fresh slot.
+  auto every_kind = [](OpBuilder& b, const Args& x) {
+    Value* two = b.Constant(2.0, x[0]->tensor_type().dims());
+    Value* v = b.Add(x[0], x[1]);
+    v = b.Tanh(v);
+    v = b.Mul(v, v);
+    v = b.Exp(v);
+    v = b.Log(v);
+    v = b.Sqrt(v);
+    v = b.Sub(x[1], v);
+    v = b.Logistic(v);
+    v = b.Rsqrt(v);
+    v = b.Div(x[2], v);
+    v = b.Neg(v);
+    v = b.Max(v, x[1]);
+    v = b.Min(x[2], v);
+    v = b.Pow(v, two);
+    v = b.Add(v, x[0]);
+    v = b.Mul(x[1], v);
+    v = b.Sub(v, x[2]);
+    v = b.Div(v, two);
+    v = b.Tanh(v);
+    v = b.Max(v, v);
+    return Args{v};
+  };
+  // The input dies at the head, so every step inherits its slot in place.
+  auto into_input = [](OpBuilder& b, const Args& x) {
+    Value* v = b.Exp(x[0]);
+    v = b.Mul(v, x[1]);
+    return Args{b.Tanh(v)};
+  };
+  // x1 dies at the second step, whose result inherits its slot in place;
+  // x0 is also returned, so the head cannot take the input's slot.
+  auto into_external = [](OpBuilder& b, const Args& x) {
+    Value* v = b.Exp(x[0]);
+    v = b.Sub(x[1], v);
+    return Args{b.Logistic(v), x[0]};
+  };
+  constexpr int64_t kBlock = exec::kChainBlock;
+  for (int64_t numel : {int64_t{1}, kBlock - 1, kBlock, kBlock + 1,
+                        3 * kBlock + 7}) {
+    // One element per row, so the special-value fill spreads -0.0, NaN and
+    // +-inf through the data rather than zeroing its only row.
+    const std::vector<int64_t> dims = {numel, 1};
+    for (Fill fill : {Fill::kRandom, Fill::kSpecialValues}) {
+      const std::string label =
+          std::to_string(numel) +
+          (fill == Fill::kRandom ? " random" : " special values");
+      SCOPED_TRACE(label);
+      std::vector<Tensor> inputs;
+      for (size_t i = 0; i < 3; ++i) inputs.push_back(CaseInput(dims, i, fill));
+
+      SpmdModule spmd = ReplicatedModule({dims, dims, dims}, every_kind);
+      auto program = exec::CompileDeviceProgram(spmd).value();
+      const exec::Instruction* chain = OnlyChain(*program);
+      ASSERT_NE(chain, nullptr);
+      EXPECT_EQ(chain->chain->steps.size(), 20u);
+      ExpectCompiledMatchesWalker(spmd, inputs, "every kind, " + label);
+
+      spmd = ReplicatedModule({dims, dims}, into_input);
+      program = exec::CompileDeviceProgram(spmd).value();
+      chain = OnlyChain(*program);
+      ASSERT_NE(chain, nullptr);
+      EXPECT_EQ(chain->chain->steps.size(), 3u);
+      EXPECT_EQ(chain->result_slots[0], chain->chain->input_slot);
+      inputs.resize(2);
+      ExpectCompiledMatchesWalker(spmd, inputs, "into its input, " + label);
+
+      spmd = ReplicatedModule({dims, dims}, into_external);
+      program = exec::CompileDeviceProgram(spmd).value();
+      chain = OnlyChain(*program);
+      ASSERT_NE(chain, nullptr);
+      EXPECT_EQ(chain->chain->steps.size(), 3u);
+      EXPECT_EQ(chain->result_slots[0], chain->chain->steps[1].external_slot);
+      ExpectCompiledMatchesWalker(spmd, inputs,
+                                  "into an external, " + label);
+    }
+  }
 }
 
 // ---- Block-copy data movement against per-element loops ----

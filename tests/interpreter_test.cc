@@ -1,6 +1,10 @@
 // Numerical tests for the reference interpreter, including the sequential
 // semantics of PartIR:Core loops (the paper's Figure 13 denotations).
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -315,6 +319,98 @@ TEST(InterpreterTest, MakeRandomInputsRespectsIndexModulus) {
     EXPECT_GE(inputs[0].at(i), 0.0f);
     EXPECT_LT(inputs[0].at(i), 10.0f);
     EXPECT_EQ(inputs[0].at(i), std::floor(inputs[0].at(i)));
+  }
+}
+
+// ---- Span kernels against one-line scalar expressions ----
+
+// +-0, +-inf, NaN, a denormal, +-1, 0.5, 3, 88.7 (exp near FLT_MAX), -104
+// (exp underflows) and FLT_MAX.
+const float kSpecials[] = {0.0f, -0.0f, INFINITY, -INFINITY, std::nanf(""),
+                           1e-40f, 1.0f, -1.0f, 0.5f, 3.0f, 88.7f, -104.0f,
+                           FLT_MAX};
+constexpr int64_t kNumSpecials = sizeof(kSpecials) / sizeof(kSpecials[0]);
+
+// Operand 0 cycles through the specials and operand 1 advances once per
+// cycle, so 169 consecutive elements hold every pairing.
+std::vector<float> SpecialSpan(int64_t n, int operand) {
+  std::vector<float> v(n);
+  for (int64_t i = 0; i < n; ++i) {
+    v[i] = kSpecials[(operand == 0 ? i : i / kNumSpecials) % kNumSpecials];
+  }
+  return v;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+constexpr int64_t kSpanLengths[] = {0, 1, 7, 1000};
+
+TEST(SpanKernelTest, UnaryKindsMatchScalarExpressionsBitwise) {
+  const std::vector<std::pair<OpKind, float (*)(float)>> kinds = {
+      {OpKind::kNeg, [](float x) { return -x; }},
+      {OpKind::kExp, [](float x) { return std::exp(x); }},
+      {OpKind::kLog, [](float x) { return std::log(x); }},
+      {OpKind::kTanh, [](float x) { return std::tanh(x); }},
+      {OpKind::kRsqrt, [](float x) { return 1.0f / std::sqrt(x); }},
+      {OpKind::kSqrt, [](float x) { return std::sqrt(x); }},
+      {OpKind::kLogistic,
+       [](float x) { return 1.0f / (1.0f + std::exp(-x)); }},
+  };
+  for (const auto& [kind, fn] : kinds) {
+    for (int64_t n : kSpanLengths) {
+      SCOPED_TRACE(StrCat(OpKindName(kind), " over ", n));
+      const std::vector<float> in = SpecialSpan(n, 0);
+      std::vector<float> want(n);
+      for (int64_t i = 0; i < n; ++i) want[i] = fn(in[i]);
+
+      std::vector<float> out(n, 42.0f);
+      ApplyUnarySpan(kind, in.data(), out.data(), n);
+      EXPECT_TRUE(SameBits(out, want)) << "separate out";
+      std::vector<float> same = in;
+      ApplyUnarySpan(kind, same.data(), same.data(), n);
+      EXPECT_TRUE(SameBits(same, want)) << "out == in";
+    }
+  }
+}
+
+TEST(SpanKernelTest, BinaryKindsMatchScalarExpressionsBitwise) {
+  const std::vector<std::pair<OpKind, float (*)(float, float)>> kinds = {
+      {OpKind::kAdd, [](float a, float b) { return a + b; }},
+      {OpKind::kSub, [](float a, float b) { return a - b; }},
+      {OpKind::kMul, [](float a, float b) { return a * b; }},
+      {OpKind::kDiv, [](float a, float b) { return a / b; }},
+      {OpKind::kMax, [](float a, float b) { return std::max(a, b); }},
+      {OpKind::kMin, [](float a, float b) { return std::min(a, b); }},
+      {OpKind::kPow, [](float a, float b) { return std::pow(a, b); }},
+  };
+  for (const auto& [kind, fn] : kinds) {
+    for (int64_t n : kSpanLengths) {
+      SCOPED_TRACE(StrCat(OpKindName(kind), " over ", n));
+      const std::vector<float> a = SpecialSpan(n, 0);
+      const std::vector<float> b = SpecialSpan(n, 1);
+      std::vector<float> want(n), want_square(n);
+      for (int64_t i = 0; i < n; ++i) {
+        want[i] = fn(a[i], b[i]);
+        want_square[i] = fn(a[i], a[i]);
+      }
+
+      std::vector<float> out(n, 42.0f);
+      ApplyBinarySpan(kind, a.data(), b.data(), out.data(), n);
+      EXPECT_TRUE(SameBits(out, want)) << "separate out";
+      std::vector<float> into_a = a;
+      ApplyBinarySpan(kind, into_a.data(), b.data(), into_a.data(), n);
+      EXPECT_TRUE(SameBits(into_a, want)) << "out == a";
+      std::vector<float> into_b = b;
+      ApplyBinarySpan(kind, a.data(), into_b.data(), into_b.data(), n);
+      EXPECT_TRUE(SameBits(into_b, want)) << "out == b";
+      std::vector<float> all = a;
+      ApplyBinarySpan(kind, all.data(), all.data(), all.data(), n);
+      EXPECT_TRUE(SameBits(all, want_square)) << "a == b == out";
+    }
   }
 }
 
