@@ -83,7 +83,6 @@ double TimeFreshPartition(const serving::ServeWorkload& workload,
   }
   double elapsed = MillisSince(start);
   if (!exe.ok()) PARTIR_FATAL() << exe.status().ToString();
-  program.partition_cache()->FlushDiskWrites();
   if (stats_out != nullptr) *stats_out = program.cache_stats();
   return elapsed;
 }
@@ -128,7 +127,6 @@ WorkloadTiming Measure(const serving::ServeWorkload& workload,
       program.Partition(repeat_schedule, workload.mesh, disk);
   timing.memory_warm_ms = MillisSince(start);
   if (!repeat.ok()) PARTIR_FATAL() << repeat.status().ToString();
-  program.partition_cache()->FlushDiskWrites();
   return timing;
 }
 

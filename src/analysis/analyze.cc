@@ -36,24 +36,6 @@ bool VerifyStage(const Module& module, const Mesh* mesh,
   return false;
 }
 
-/**
- * Whether `plan` indexes this module instance's values. Cache-hit clones
- * share the cached entry's immutable compiled program, whose plan keys the
- * *original* module's Value pointers — structurally identical, but useless
- * for verifying the clone. One probe suffices: the pointer sets either
- * match completely or not at all.
- */
-bool PlanIndexesModule(const SpmdModule& spmd, const exec::MemoryPlan& plan) {
-  const Func* main = spmd.main();
-  if (main == nullptr) return false;
-  const Block& body = main->body();
-  if (body.num_args() > 0) return plan.index.count(body.arg(0)) > 0;
-  for (const auto& op : body.ops()) {
-    if (op->num_results() > 0) return plan.index.count(op->result(0)) > 0;
-  }
-  return true;  // nothing to plan either way
-}
-
 }  // namespace
 
 AnalysisReport AnalyzeSpmd(const SpmdModule& spmd) {
@@ -64,11 +46,7 @@ AnalysisReport AnalyzeSpmd(const SpmdModule& spmd) {
   }
   if (!VerifyStage(*spmd.module, &spmd.mesh, &spmd, report)) return report;
   LintModule(*spmd.module, &spmd.mesh, report);
-  CheckCollectives(spmd, report);
   std::shared_ptr<const exec::DeviceProgram> program = spmd.exec_program;
-  if (program != nullptr && !PlanIndexesModule(spmd, program->plan)) {
-    program = nullptr;  // another clone's program: recompile to verify
-  }
   if (program == nullptr) {
     StatusOr<std::shared_ptr<const exec::DeviceProgram>> compiled =
         exec::CompileDeviceProgram(spmd);
@@ -80,6 +58,8 @@ AnalysisReport AnalyzeSpmd(const SpmdModule& spmd) {
     }
     program = std::move(compiled).value();
   }
+  CheckCollectiveTraces(ExtractCollectiveTraces(*program, spmd.mesh, report),
+                        report);
   CheckDeviceProgram(spmd, *program, report);
   return report;
 }

@@ -23,10 +23,11 @@ namespace analysis {
  * (checker id "ir-verify": every op against its typing rule over the mesh,
  * placement, and the input/output shardings against the mesh and the
  * signature). A module that does not verify gets only those errors, with
- * a note that the later checkers were skipped. Otherwise lint, the
- * collective deadlock/mismatch detector and the memory-plan verifier over
- * spmd.exec_program (compiled ad hoc when absent; a compile failure is
- * itself a diagnostic) follow. Never aborts on malformed input.
+ * a note that the later checkers were skipped. Otherwise lint runs, then
+ * the collective deadlock/mismatch detector and the memory-plan verifier
+ * over spmd.exec_program (compiled ad hoc when absent; a compile failure
+ * is itself an "exec-program" error that ends the report). Never aborts
+ * on malformed input.
  */
 AnalysisReport AnalyzeSpmd(const SpmdModule& spmd);
 

@@ -1,11 +1,9 @@
 #include "src/analysis/collective_checker.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <utility>
 
-#include "src/ir/verifier.h"
 #include "src/spmd/collectives.h"
 #include "src/support/str_util.h"
 
@@ -16,11 +14,6 @@ namespace {
 constexpr char kMismatch[] = "collective-mismatch";
 constexpr char kDeadlock[] = "collective-deadlock";
 
-std::string ReductionOf(const Operation& op) {
-  const std::string* reduction = op.attrs().Find<std::string>("reduction");
-  return reduction == nullptr ? "" : *reduction;
-}
-
 std::string OpSignature(OpKind kind, const std::vector<std::string>& axes,
                         const std::string& reduction, int64_t numel) {
   std::string sig = StrCat(OpKindName(kind), "[", StrJoin(axes, ","), "]");
@@ -29,45 +22,6 @@ std::string OpSignature(OpKind kind, const std::vector<std::string>& axes,
 }
 
 }  // namespace
-
-std::vector<DeviceTrace> ExtractCollectiveTraces(const Module& module,
-                                                 const Mesh& mesh) {
-  const int64_t num_devices = mesh.NumDevices();
-  std::vector<DeviceTrace> traces(num_devices);
-  for (int64_t d = 0; d < num_devices; ++d) traces[d].device = d;
-
-  // Replica groups shared between ops with the same axes, as in the plan.
-  std::map<std::vector<std::string>, CollectiveGroups> cache;
-  int64_t site_base = 0;
-  const Block& body = module.main()->body();
-  for (int i = 0; i < body.num_ops(); ++i) {
-    const Operation* op = body.ops()[i].get();
-    if (!IsCollective(op->kind())) continue;
-    if (op->kind() == OpKind::kAllSlice) continue;  // device-local
-
-    std::vector<std::string> axes = CollectiveGroupAxes(*op);
-    auto it = cache.find(axes);
-    if (it == cache.end()) {
-      it = cache.emplace(axes, MakeCollectiveGroups(mesh, axes)).first;
-    }
-    const CollectiveGroups& groups = it->second;
-    std::string signature =
-        OpSignature(op->kind(), axes, ReductionOf(*op),
-                    op->result()->tensor_type().NumElements());
-    std::string location = OpLocation(i, *op);
-    for (int64_t d = 0; d < num_devices; ++d) {
-      CollectiveEvent event;
-      event.index = static_cast<int>(traces[d].events.size());
-      event.site = site_base + groups.group_of[d];
-      event.group_size = groups.group_size;
-      event.signature = signature;
-      event.location = location;
-      traces[d].events.push_back(std::move(event));
-    }
-    site_base += static_cast<int64_t>(groups.groups.size());
-  }
-  return traces;
-}
 
 std::vector<DeviceTrace> ExtractCollectiveTraces(
     const exec::DeviceProgram& program, const Mesh& mesh,
@@ -254,16 +208,6 @@ void CheckCollectiveTraces(const std::vector<DeviceTrace>& traces,
       }
     }
   }
-}
-
-void CheckCollectives(const SpmdModule& spmd, AnalysisReport& report) {
-  std::vector<DeviceTrace> traces;
-  if (spmd.exec_program != nullptr) {
-    traces = ExtractCollectiveTraces(*spmd.exec_program, spmd.mesh, report);
-  } else if (spmd.module != nullptr) {
-    traces = ExtractCollectiveTraces(*spmd.module, spmd.mesh);
-  }
-  CheckCollectiveTraces(traces, report);
 }
 
 }  // namespace analysis

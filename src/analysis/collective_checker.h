@@ -17,11 +17,13 @@
  *     is a circular wait: every device on it blocks at a site whose other
  *     participants are blocked further along the cycle.
  *
- * In this repo's SPMD regime all devices run the same program, so traces
- * extracted from a well-formed module are identical by construction; the
- * value of the checker is over *deserialized or hand-mutated* artifacts
- * (tools/partir_lint, fault-injection tests) and as the proof obligation
- * future MPMD/pipeline tactics must keep discharging.
+ * The traces are read from the compiled device program, whose replica
+ * groups and site numbering are the ones the runtime rendezvous on. In
+ * this repo's SPMD regime all devices run the same program, so traces of
+ * a well-formed program are identical by construction; the value of the
+ * checker is over *deserialized or hand-built* artifacts (tools/partir_lint,
+ * fault-injection tests) and as the proof obligation future MPMD/pipeline
+ * tactics must keep discharging.
  */
 #ifndef PARTIR_ANALYSIS_COLLECTIVE_CHECKER_H_
 #define PARTIR_ANALYSIS_COLLECTIVE_CHECKER_H_
@@ -32,7 +34,7 @@
 
 #include "src/analysis/diagnostics.h"
 #include "src/exec/device_program.h"
-#include "src/spmd/lowering.h"
+#include "src/mesh/mesh.h"
 
 namespace partir {
 namespace analysis {
@@ -57,16 +59,9 @@ struct DeviceTrace {
   std::vector<CollectiveEvent> events;
 };
 
-/**
- * Extracts per-device traces from a lowered module that verifies over
- * `mesh`, by walking the top-level collectives in program order (mirroring
- * the compiler's site numbering). all_slice is device-local: no events.
- */
-std::vector<DeviceTrace> ExtractCollectiveTraces(const Module& module,
-                                                 const Mesh& mesh);
-
 /** Extracts per-device traces from a compiled instruction stream, using the
- *  baked site_base / replica groups. */
+ *  baked site_base / replica groups. all_slice is device-local: no
+ *  events. */
 std::vector<DeviceTrace> ExtractCollectiveTraces(
     const exec::DeviceProgram& program, const Mesh& mesh,
     AnalysisReport& report);
@@ -78,10 +73,6 @@ std::vector<DeviceTrace> ExtractCollectiveTraces(
  */
 void CheckCollectiveTraces(const std::vector<DeviceTrace>& traces,
                            AnalysisReport& report);
-
-/** Extracts traces from `spmd` (compiled stream when present, else the
- *  module) and runs the detector. */
-void CheckCollectives(const SpmdModule& spmd, AnalysisReport& report);
 
 }  // namespace analysis
 }  // namespace partir

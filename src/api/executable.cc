@@ -4,7 +4,6 @@
 #include "src/api/partition_cache.h"
 #include "src/exec/executor.h"
 #include "src/exec/worker_pool.h"
-#include "src/ir/fingerprint.h"
 #include "src/ir/printer.h"
 #include "src/pass/pipeline.h"
 #include "src/persist/serializer.h"
@@ -49,7 +48,7 @@ StatusOr<std::vector<Tensor>> Executable::Run(
     run_options.pool = EnsurePool();
   }
   StatusOr<std::vector<Tensor>> outputs =
-      RunSpmd(result_.spmd, inputs, run_options);
+      RunSpmd(result_->spmd, inputs, run_options);
   if (outputs.ok()) {
     runtime_->last_run_allocations.store(run_options.stats->allocations,
                                          std::memory_order_relaxed);
@@ -66,24 +65,19 @@ exec::WorkerPool* Executable::EnsurePool() const {
 }
 
 SimEstimate Executable::Estimate(const DeviceSpec& device) const {
-  return EstimateSpmd(result_.spmd, device);
+  return EstimateSpmd(result_->spmd, device);
 }
 
 StatusOr<exec::MemoryStats> Executable::memory_stats() const {
-  std::shared_ptr<const exec::DeviceProgram> program =
-      result_.spmd.exec_program;
-  if (program == nullptr) {
-    PARTIR_ASSIGN_OR_RETURN(program,
-                            exec::CompileDeviceProgram(result_.spmd));
-  }
-  exec::MemoryStats stats = exec::ComputeMemoryStats(result_.spmd, *program);
+  exec::MemoryStats stats = exec::ComputeMemoryStats(
+      result_->spmd, *result_->spmd.exec_program);
   stats.last_run_allocations =
       runtime_->last_run_allocations.load(std::memory_order_relaxed);
   return stats;
 }
 
 analysis::AnalysisReport Executable::Analyze() const {
-  return analysis::AnalyzeSpmd(result_.spmd);
+  return analysis::AnalyzeSpmd(result_->spmd);
 }
 
 StatusOr<std::string> Executable::Print(Stage stage) const {
@@ -113,7 +107,7 @@ StatusOr<std::string> Executable::Print(Stage stage) const {
       return print_loop_form(num_tactics,
                              /*deferred_propagation=*/!options_.incremental);
     case Stage::Kind::kSpmd:
-      return partir::Print(*result_.spmd.module);
+      return partir::Print(*result_->spmd.module);
   }
   return InternalError("unknown stage");
 }
@@ -123,7 +117,7 @@ Status Executable::SaveResult(const std::string& path) const {
       path,
       persist::EncodeEntry(persist::PayloadKind::kPartitionResult,
                            "partir-partition-result",
-                           persist::SerializePartitionResult(result_)));
+                           persist::SerializePartitionResult(*result_)));
 }
 
 StatusOr<Executable> Executable::Respecialize(
@@ -134,12 +128,9 @@ StatusOr<Executable> Executable::Respecialize(
 StatusOr<Executable> Executable::Respecialize(
     const std::vector<Tactic>& new_schedule,
     const PartitionOptions& options) const {
-  // Fingerprint the live trace (not a snapshot from construction time) so
-  // a trace mutated since Partition can never serve a stale cache entry.
   PARTIR_ASSIGN_OR_RETURN(
-      PartitionResult result,
-      PartitionThroughCache(*cache_, FingerprintFunc(*traced_), traced_,
-                            mesh(), new_schedule, options));
+      std::shared_ptr<const PartitionResult> result,
+      PartitionThroughCache(*cache_, traced_, mesh(), new_schedule, options));
   return Executable(module_, traced_, new_schedule, options,
                     std::move(result), cache_);
 }

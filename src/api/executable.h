@@ -1,13 +1,14 @@
 /**
  * @file
  * partir::Executable: a partitioned, runnable program — the result of
- * Program::Partition. It owns the lowered device-local SPMD module together
- * with everything the paper's workflow inspects after partitioning:
- * per-tactic TacticReports, input/output shardings, the recorded
- * propagation conflicts, and the schedule it was partitioned with, from
- * which Print(Stage) recomputes the PartIR:Core loop form after any tactic
- * prefix (the paper's "verify the strategy after every tactic" loop as a
- * first-class API).
+ * Program::Partition. It shares the immutable PartitionResult of its
+ * request (a cache hit hands out the cache entry itself): the lowered
+ * device-local SPMD module, planned and compiled, with everything the
+ * paper's workflow inspects after partitioning: per-tactic TacticReports,
+ * input/output shardings and the recorded propagation conflicts. It keeps
+ * the schedule it was partitioned with, from which Print(Stage) recomputes
+ * the PartIR:Core loop form after any tactic prefix (the paper's "verify
+ * the strategy after every tactic" loop as a first-class API).
  */
 #ifndef PARTIR_API_EXECUTABLE_H_
 #define PARTIR_API_EXECUTABLE_H_
@@ -117,7 +118,7 @@ class Executable {
   // ---- Cost estimation ----
 
   /** Simulator estimate for the device spec the schedule was built with. */
-  const SimEstimate& Estimate() const { return result_.estimate; }
+  const SimEstimate& Estimate() const { return result_->estimate; }
   /** Re-estimates the lowered program on a different device spec. */
   SimEstimate Estimate(const DeviceSpec& device) const;
 
@@ -125,8 +126,7 @@ class Executable {
    * Memory-planner statistics of the compiled device program: per-device
    * peak arena bytes (what one simulated device must hold), liveness peak,
    * slot-reuse and in-place counts, and the fresh-tensor-per-op baseline
-   * for comparison. Compiles a program ad hoc when the pipeline's one was
-   * invalidated; errors when the module cannot be compiled.
+   * for comparison.
    */
   StatusOr<exec::MemoryStats> memory_stats() const;
 
@@ -135,10 +135,9 @@ class Executable {
   /**
    * Runs the static analysis suite (src/analysis/: the IR verifier, lint,
    * collective deadlock/mismatch detection, memory-plan verification)
-   * over the CURRENT device-local module and compiled
-   * program, so it reflects any backend mutation through mutable_spmd().
-   * Never fails: problems (including a module that no longer compiles)
-   * come back as diagnostics in the report.
+   * over the device-local module and its compiled program, whatever
+   * PartitionOptions::analyze was. Never fails: problems come back as
+   * diagnostics in the report.
    */
   analysis::AnalysisReport Analyze() const;
 
@@ -146,7 +145,7 @@ class Executable {
    *  (PartitionOptions::analyze); empty when analysis was disabled.
    *  A cache hit carries the original miss run's report verbatim. */
   const analysis::AnalysisReport& analysis_report() const {
-    return result_.analysis;
+    return result_->analysis;
   }
 
   /**
@@ -163,12 +162,16 @@ class Executable {
    *  cumulative conflicts, wall-clock and search statistics. The
    *  collectives and estimate after tactic i are those of
    *  Respecialize(schedule[0..i]). */
-  const std::vector<TacticReport>& tactics() const { return result_.tactics; }
+  const std::vector<TacticReport>& tactics() const {
+    return result_->tactics;
+  }
   /** Propagation conflicts recorded over the whole schedule. */
-  const std::vector<Conflict>& conflicts() const { return result_.conflicts; }
+  const std::vector<Conflict>& conflicts() const {
+    return result_->conflicts;
+  }
   /** Final collective counts (Table 3 rows). */
-  const CollectiveStats& Collectives() const { return result_.collectives; }
-  double partition_seconds() const { return result_.partition_seconds; }
+  const CollectiveStats& Collectives() const { return result_->collectives; }
+  double partition_seconds() const { return result_->partition_seconds; }
 
   /**
    * Per-stage statistics of the pipeline run that compiled this executable:
@@ -177,28 +180,25 @@ class Executable {
    * per-stage Table 3 breakdown attributing which stage formed what).
    * A cache hit carries the stats of the original miss run verbatim.
    */
-  const PipelineStats& pipeline_stats() const { return result_.pipeline; }
+  const PipelineStats& pipeline_stats() const { return result_->pipeline; }
 
-  const Mesh& mesh() const { return result_.spmd.mesh; }
+  const Mesh& mesh() const { return result_->spmd.mesh; }
   int num_inputs() const {
-    return static_cast<int>(result_.spmd.input_shardings.size());
+    return static_cast<int>(result_->spmd.input_shardings.size());
   }
   const ValueSharding& input_sharding(int i) const {
-    return result_.spmd.input_shardings.at(i);
+    return result_->spmd.input_shardings.at(i);
   }
   const ValueSharding& output_sharding(int i) const {
-    return result_.spmd.output_shardings.at(i);
+    return result_->spmd.output_shardings.at(i);
   }
 
-  /** The lowered device-local module (mutable form hands the module to a
-   *  backend stand-in; the facade itself never mutates it after build).
-   *  Mutable access drops the precomputed collective plan — the next Run
-   *  re-plans against whatever the backend left behind. */
-  const SpmdModule& spmd() const { return result_.spmd; }
-  SpmdModule& mutable_spmd() {
-    result_.spmd.InvalidatePlan();
-    return result_.spmd;
-  }
+  /** The lowered device-local module with its collective plan and
+   *  compiled device program, never null. Read-only: every executable
+   *  built from one cache entry shares it. To experiment on the module,
+   *  copy it (CloneModule plus the mesh and shardings) and run the copy
+   *  through RunSpmd or AnalyzeSpmd. */
+  const SpmdModule& spmd() const { return result_->spmd; }
 
   // ---- Persistence ----
 
@@ -238,7 +238,8 @@ class Executable {
 
   Executable(std::shared_ptr<Module> module, Func* traced,
              std::vector<Tactic> schedule, PartitionOptions options,
-             PartitionResult result, std::shared_ptr<PartitionCache> cache)
+             std::shared_ptr<const PartitionResult> result,
+             std::shared_ptr<PartitionCache> cache)
       : module_(std::move(module)), traced_(traced),
         schedule_(std::move(schedule)), options_(std::move(options)),
         result_(std::move(result)), cache_(std::move(cache)) {}
@@ -247,7 +248,8 @@ class Executable {
   Func* traced_;                    // the traced function inside module_
   std::vector<Tactic> schedule_;    // what Print replays for loop forms
   PartitionOptions options_;
-  PartitionResult result_;  // its spmd.mesh is the mesh of record
+  // Shared and immutable; its spmd.mesh is the mesh of record.
+  std::shared_ptr<const PartitionResult> result_;
   std::shared_ptr<PartitionCache> cache_;  // the Program's partition cache
   std::shared_ptr<RunRuntime> runtime_ = std::make_shared<RunRuntime>();
 };

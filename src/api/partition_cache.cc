@@ -3,35 +3,14 @@
 #include <cstdio>
 #include <utility>
 
-#include "src/exec/device_program.h"
-#include "src/ir/passes.h"
 #include "src/persist/serializer.h"
 #include "src/persist/store.h"
-#include "src/spmd/collectives.h"
 
 namespace partir {
-
-PartitionCache::~PartitionCache() {
-  bool join;
-  {
-    std::lock_guard<std::mutex> lock(disk_mu_);
-    disk_stop_ = true;
-    join = disk_writer_.joinable();
-  }
-  disk_cv_.notify_all();
-  // The writer drains the remaining queue before honoring stop, so results
-  // computed just before destruction still reach the disk.
-  if (join) disk_writer_.join();
-}
 
 void PartitionCache::ConfigureDisk(const std::string& dir) {
   std::lock_guard<std::mutex> lock(mu_);
   disk_dir_ = dir;
-}
-
-void PartitionCache::FlushDiskWrites() {
-  std::unique_lock<std::mutex> lock(disk_mu_);
-  disk_idle_cv_.wait(lock, [&] { return disk_queue_.empty() && !disk_busy_; });
 }
 
 std::shared_ptr<const PartitionResult> PartitionCache::TryLoadFromDisk(
@@ -55,47 +34,17 @@ std::shared_ptr<const PartitionResult> PartitionCache::TryLoadFromDisk(
   return nullptr;
 }
 
-void PartitionCache::EnqueueDiskWrite(DiskWrite write) {
-  {
-    std::lock_guard<std::mutex> lock(disk_mu_);
-    if (disk_stop_) return;
-    if (!disk_writer_.joinable()) {
-      disk_writer_ = std::thread(&PartitionCache::DiskWriterLoop, this);
-    }
-    disk_queue_.push_back(std::move(write));
-  }
-  disk_cv_.notify_one();
-}
-
-void PartitionCache::DiskWriterLoop() {
-  std::unique_lock<std::mutex> lock(disk_mu_);
-  for (;;) {
-    disk_cv_.wait(lock, [&] { return disk_stop_ || !disk_queue_.empty(); });
-    if (disk_queue_.empty()) {
-      if (disk_stop_) return;
-      continue;
-    }
-    DiskWrite write = std::move(disk_queue_.front());
-    disk_queue_.pop_front();
-    disk_busy_ = true;
-    lock.unlock();
-    // Serialize + write outside both locks; entries are immutable, so
-    // reading the result concurrently with cache hits is safe.
-    std::string payload = persist::SerializePartitionResult(*write.result);
-    Status status =
-        persist::WriteEntry(write.dir, persist::PayloadKind::kPartitionResult,
-                            write.key, payload);
-    {
-      std::lock_guard<std::mutex> stats_lock(mu_);
-      if (status.ok()) {
-        ++disk_writes_;
-      } else {
-        ++disk_write_errors_;  // best-effort: a full disk is not an error
-      }
-    }
-    lock.lock();
-    disk_busy_ = false;
-    if (disk_queue_.empty()) disk_idle_cv_.notify_all();
+void PartitionCache::WriteToDisk(const std::string& dir,
+                                 const std::string& key,
+                                 const PartitionResult& result) {
+  Status status =
+      persist::WriteEntry(dir, persist::PayloadKind::kPartitionResult, key,
+                          persist::SerializePartitionResult(result));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (status.ok()) {
+    ++disk_writes_;
+  } else {
+    ++disk_write_errors_;  // best-effort: a full disk is not an error
   }
 }
 
@@ -109,36 +58,12 @@ std::shared_ptr<const PartitionResult> PartitionCache::LookupLocked(
 
 void PartitionCache::InsertLocked(
     const std::string& key, std::shared_ptr<const PartitionResult> result) {
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second.result = std::move(result);
-    lru_.splice(lru_.begin(), lru_, it->second.recency);
-    return;
-  }
   lru_.push_front(key);
   entries_[key] = Entry{std::move(result), lru_.begin()};
   while (static_cast<int64_t>(entries_.size()) > capacity_) {
     entries_.erase(lru_.back());
     lru_.pop_back();
   }
-}
-
-std::shared_ptr<const PartitionResult> PartitionCache::Lookup(
-    const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<const PartitionResult> result = LookupLocked(key);
-  if (result == nullptr) {
-    ++misses_;
-  } else {
-    ++hits_;
-  }
-  return result;
-}
-
-void PartitionCache::Insert(const std::string& key,
-                            std::shared_ptr<const PartitionResult> result) {
-  std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(key, std::move(result));
 }
 
 StatusOr<std::shared_ptr<const PartitionResult>> PartitionCache::GetOrCompute(
@@ -182,6 +107,7 @@ StatusOr<std::shared_ptr<const PartitionResult>> PartitionCache::GetOrCompute(
   // every lock — then publish.
   std::shared_ptr<const PartitionResult> stored;
   Status failure = Status::Ok();
+  bool computed_here = false;
   if (!disk_dir.empty()) {
     stored = TryLoadFromDisk(disk_dir, key);
   }
@@ -190,10 +116,7 @@ StatusOr<std::shared_ptr<const PartitionResult>> PartitionCache::GetOrCompute(
     if (computed.ok()) {
       stored = std::make_shared<const PartitionResult>(
           std::move(computed).value());
-      // Replenish the persistent tier asynchronously and best-effort.
-      if (!disk_dir.empty()) {
-        EnqueueDiskWrite(DiskWrite{disk_dir, key, stored});
-      }
+      computed_here = true;
     } else {
       failure = computed.status();
     }
@@ -211,6 +134,9 @@ StatusOr<std::shared_ptr<const PartitionResult>> PartitionCache::GetOrCompute(
   }
   flight->cv.notify_all();
   if (stored == nullptr) return failure;
+  // Followers are already running; the leader replenishes the persistent
+  // tier before it returns.
+  if (computed_here && !disk_dir.empty()) WriteToDisk(disk_dir, key, *stored);
   return stored;
 }
 
@@ -293,51 +219,24 @@ std::string PartitionCacheKey(uint64_t trace_fingerprint,
       "|schedule:", StrJoin(schedule, ",", TacticKey));
 }
 
-PartitionResult ClonePartitionResult(
-    const std::shared_ptr<const PartitionResult>& result) {
-  PartitionResult out;
-  out.spmd.module = CloneModule(*result->spmd.module);
-  out.spmd.mesh = result->spmd.mesh;
-  out.spmd.input_shardings = result->spmd.input_shardings;
-  out.spmd.output_shardings = result->spmd.output_shardings;
-  out.spmd.plan = BuildCollectivePlan(out.spmd.mesh, *out.spmd.module);
-  if (result->spmd.exec_program != nullptr) {
-    // The compiled program is immutable and points into the cached entry's
-    // module, so clones share it instead of recompiling: the aliasing
-    // shared_ptr keeps the entire cached result (module included) alive for
-    // as long as any clone executes through the shared program.
-    out.spmd.exec_program = std::shared_ptr<const exec::DeviceProgram>(
-        result, result->spmd.exec_program.get());
-  }
-  out.collectives = result->collectives;
-  out.estimate = result->estimate;
-  out.tactics = result->tactics;
-  out.partition_seconds = result->partition_seconds;
-  out.conflicts = result->conflicts;
-  out.pipeline = result->pipeline;
-  out.analysis = result->analysis;
-  return out;
-}
-
-StatusOr<PartitionResult> PartitionThroughCache(
-    PartitionCache& cache, uint64_t trace_fingerprint, Func* traced,
-    const Mesh& mesh, const std::vector<Tactic>& schedule,
-    const PartitionOptions& options) {
-  if (!options.use_cache) {
+StatusOr<std::shared_ptr<const PartitionResult>> PartitionThroughCache(
+    PartitionCache& cache, Func* traced, const Mesh& mesh,
+    const std::vector<Tactic>& schedule, const PartitionOptions& options) {
+  auto compute = [&]() -> StatusOr<PartitionResult> {
     PartitionContext ctx(traced, mesh);
     return PartirJitOrError(ctx, schedule, options);
+  };
+  if (!options.use_cache) {
+    PARTIR_ASSIGN_OR_RETURN(PartitionResult result, compute());
+    return std::make_shared<const PartitionResult>(std::move(result));
   }
   const std::string disk_dir = persist::ResolveCacheDir(options.cache_dir);
   if (!disk_dir.empty()) cache.ConfigureDisk(disk_dir);
-  const std::string key =
-      PartitionCacheKey(trace_fingerprint, schedule, mesh, options);
-  PARTIR_ASSIGN_OR_RETURN(
-      std::shared_ptr<const PartitionResult> cached,
-      cache.GetOrCompute(key, [&]() -> StatusOr<PartitionResult> {
-        PartitionContext ctx(traced, mesh);
-        return PartirJitOrError(ctx, schedule, options);
-      }));
-  return ClonePartitionResult(cached);
+  // Fingerprint the live trace on every request, so a trace mutated since
+  // an earlier Partition can never serve a stale entry.
+  return cache.GetOrCompute(PartitionCacheKey(persist::FingerprintFunc(*traced),
+                                              schedule, mesh, options),
+                            compute);
 }
 
 }  // namespace partir

@@ -1,7 +1,6 @@
 #include "src/api/program.h"
 
 #include "src/interp/interpreter.h"
-#include "src/ir/fingerprint.h"
 #include "src/ir/printer.h"
 #include "src/ir/verifier.h"
 #include "src/persist/serializer.h"
@@ -53,7 +52,7 @@ bool Program::sealed() const {
 }
 
 uint64_t Program::TraceFingerprint() const {
-  return FingerprintFunc(*func_);
+  return persist::FingerprintFunc(*func_);
 }
 
 StatusOr<Executable> Program::Partition(const std::vector<Tactic>& schedule,
@@ -68,9 +67,8 @@ StatusOr<Executable> Program::Partition(const std::vector<Tactic>& schedule,
     return InvalidArgumentError("cannot partition over an empty mesh");
   }
   PARTIR_ASSIGN_OR_RETURN(
-      PartitionResult result,
-      PartitionThroughCache(*cache_, TraceFingerprint(), func_, mesh,
-                            schedule, options));
+      std::shared_ptr<const PartitionResult> result,
+      PartitionThroughCache(*cache_, func_, mesh, schedule, options));
   return Executable(module_, func_, schedule, options, std::move(result),
                     cache_);
 }

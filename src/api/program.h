@@ -92,8 +92,8 @@ class Program {
    *
    * Results are memoized on (trace fingerprint, schedule, mesh, options):
    * a repeated identical request is a cache hit that skips the pipeline
-   * and clones the cached device-local module instead. Respecialize shares
-   * the same cache; see cache_stats().
+   * and returns an Executable sharing the cached, immutable result.
+   * Respecialize shares the same cache; see cache_stats().
    */
   StatusOr<Executable> Partition(const std::vector<Tactic>& schedule,
                                  const Mesh& mesh,
@@ -154,7 +154,8 @@ class Program {
    */
   static StatusOr<Program> Load(const std::string& path);
 
-  /** Structural fingerprint of the traced program — the trace component
+  /** Fingerprint of the traced program (persist::FingerprintFunc: a hash
+   *  of its serialized bytes, value names included) — the trace component
    *  of the partition-cache key. Cached on the traced function keyed on
    *  its mutation version: an unchanged trace hashes once, while post-trace
    *  mutations through module()/builder() invalidate the cached digest and

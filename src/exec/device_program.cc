@@ -1,6 +1,5 @@
 #include "src/exec/device_program.h"
 
-#include <atomic>
 #include <string>
 #include <utility>
 
@@ -10,8 +9,6 @@
 namespace partir {
 namespace exec {
 namespace {
-
-std::atomic<int64_t> compiled_program_count{0};
 
 /** Single-result elementwise op: fused-chain candidate. */
 bool IsElementwiseOp(const Operation& op) {
@@ -164,7 +161,6 @@ Status ValidateFlatProgram(const Func& func) {
 
 StatusOr<std::shared_ptr<const DeviceProgram>> CompileDeviceProgram(
     const SpmdModule& spmd) {
-  compiled_program_count.fetch_add(1, std::memory_order_relaxed);
   const Func& func = *spmd.main();
   const Block& body = func.body();
   if (body.num_ops() == 0 || body.terminator()->kind() != OpKind::kReturn) {
@@ -223,10 +219,6 @@ StatusOr<std::shared_ptr<const DeviceProgram>> CompileDeviceProgram(
     ++i;
   }
   return std::shared_ptr<const DeviceProgram>(std::move(program));
-}
-
-int64_t CompiledProgramCount() {
-  return compiled_program_count.load(std::memory_order_relaxed);
 }
 
 MemoryStats ComputeMemoryStats(const SpmdModule& spmd,

@@ -10,8 +10,9 @@
  * for the reference walker alike.
  *
  * A DeviceProgram is compiled once per partitioned module (by the
- * compile-device-programs pipeline pass, or ad hoc on first compiled Run)
- * and then drives every execution:
+ * compile-device-programs pipeline stage or the partition-result decoder;
+ * a hand-built module is compiled ad hoc per compiled Run) and then drives
+ * every execution:
  *
  *  - each instruction is a dense record with pre-resolved operand/result
  *    arena slots from the liveness MemoryPlan (memory_planner.h), so the
@@ -129,10 +130,6 @@ Status ValidateFlatProgram(const Func& func);
  */
 StatusOr<std::shared_ptr<const DeviceProgram>> CompileDeviceProgram(
     const SpmdModule& spmd);
-
-/** Process-wide count of CompileDeviceProgram calls: lets tests assert
- *  that partition-cache hits share programs instead of recompiling. */
-int64_t CompiledProgramCount();
 
 /** Memory-planner statistics of a compiled program, per device. */
 struct MemoryStats {

@@ -140,8 +140,8 @@ class Block {
    * an enclosing operation below it*: structural mutations (AddArg, Append,
    * EraseIf, operand rewires, value type/name changes) bump this block and
    * propagate to every enclosing block, so the version of a function's body
-   * covers its whole region tree. Cached derived state (the structural
-   * trace fingerprint the partition cache keys on) is keyed on it.
+   * covers its whole region tree. Cached derived state (the trace
+   * fingerprint the partition cache keys on) is keyed on it.
    */
   uint64_t version() const { return version_; }
   /** Records a mutation: bumps this block and every enclosing block. */
@@ -202,7 +202,7 @@ class Func {
   }
 
   /**
-   * Structural-fingerprint cache (fingerprint.cc): the cached digest when
+   * Trace-fingerprint cache (persist::FingerprintFunc): the digest when
    * one was stored for the *current* body version, else nullopt. Mutations
    * anywhere in the region tree bump the body version (Block::version), so
    * a stale fingerprint can never be returned. Thread-safe.
@@ -215,7 +215,7 @@ class Func {
     return fingerprint_;
   }
   /** Stores the fingerprint computed at `version` (captured by the caller
-   *  before hashing, so a mutation racing the walk is never cached). */
+   *  before serializing, so a mutation racing the walk is never cached). */
   void cache_fingerprint(uint64_t version, uint64_t fingerprint) const {
     std::lock_guard<std::mutex> lock(fingerprint_mu_);
     fingerprint_valid_ = true;

@@ -1,11 +1,13 @@
 #include "src/persist/serializer.h"
 
 #include <cstring>
-#include <map>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "src/exec/device_program.h"
 #include "src/ir/verifier.h"
+#include "src/persist/store.h"
 #include "src/spmd/collectives.h"
 
 namespace partir {
@@ -262,12 +264,12 @@ class ModuleSerializer {
     for (const auto& func : module.funcs()) WriteFunc(*func);
   }
 
- private:
   void WriteFunc(const Func& func) {
     writer_.WriteStr(func.name());
     WriteBlock(func.body());
   }
 
+ private:
   void WriteBlock(const Block& block) {
     writer_.WriteU64(block.args().size());
     for (const auto& arg : block.args()) {
@@ -280,10 +282,10 @@ class ModuleSerializer {
       writer_.WriteU32(static_cast<uint32_t>(op->kind()));
       writer_.WriteU64(op->operands().size());
       for (const Value* operand : op->operands()) {
+        // An operand that does not dominate its use (an unverified trace)
+        // gets an id no value has, which the deserializer refuses.
         auto it = ids_.find(operand);
-        PARTIR_CHECK(it != ids_.end())
-            << "operand does not dominate its use (unverified module?)";
-        writer_.WriteU64(it->second);
+        writer_.WriteU64(it == ids_.end() ? ~uint64_t{0} : it->second);
       }
       writer_.WriteU64(op->attrs().raw().size());
       for (const auto& [name, attr] : op->attrs().raw()) {
@@ -304,7 +306,7 @@ class ModuleSerializer {
   }
 
   ByteWriter& writer_;
-  std::map<const Value*, uint64_t> ids_;
+  std::unordered_map<const Value*, uint64_t> ids_;
   uint64_t next_id_ = 0;
 };
 
@@ -515,7 +517,7 @@ StatusOr<std::unique_ptr<Module>> DeserializeModule(
 std::string SerializePartitionResult(const PartitionResult& result) {
   ByteWriter writer;
 
-  // SPMD module with mesh, shardings and the compiled-program flag.
+  // SPMD module with mesh and shardings.
   ModuleSerializer(writer).WriteModule(*result.spmd.module);
   WriteMesh(writer, result.spmd.mesh);
   writer.WriteU64(result.spmd.input_shardings.size());
@@ -526,7 +528,6 @@ std::string SerializePartitionResult(const PartitionResult& result) {
   for (const ValueSharding& sharding : result.spmd.output_shardings) {
     WriteAxesPerDim(writer, sharding.axes);
   }
-  writer.WriteU8(result.spmd.exec_program != nullptr ? 1 : 0);
 
   WriteCollectiveStats(writer, result.collectives);
   WriteEstimate(writer, result.estimate);
@@ -607,7 +608,6 @@ StatusOr<PartitionResult> DeserializePartitionResult(
     result.spmd.output_shardings.push_back(
         ValueSharding{ReadAxesPerDim(reader)});
   }
-  bool had_exec_program = reader.ReadU8() != 0;
 
   result.collectives = ReadCollectiveStats(reader);
   result.estimate = ReadEstimate(reader);
@@ -703,18 +703,33 @@ StatusOr<PartitionResult> DeserializePartitionResult(
                          diags.front());
   }
 
-  // Rebuild the process-local derived state the pipeline's last passes
-  // normally produce: the precomputed collective plan always, the compiled
-  // device program when the saved result carried one (best-effort — a null
-  // program always falls back to ad-hoc compilation at Run).
+  // Rebuild the process-local derived state the pipeline's last stages
+  // produce, so a loaded result is as complete as a computed one.
   result.spmd.plan =
       BuildCollectivePlan(result.spmd.mesh, *result.spmd.module);
-  if (had_exec_program) {
-    StatusOr<std::shared_ptr<const exec::DeviceProgram>> program =
-        exec::CompileDeviceProgram(result.spmd);
-    if (program.ok()) result.spmd.exec_program = std::move(program).value();
+  StatusOr<std::shared_ptr<const exec::DeviceProgram>> program =
+      exec::CompileDeviceProgram(result.spmd);
+  if (!program.ok()) {
+    return DataLossError("saved SPMD module does not compile: ",
+                         program.status().message());
   }
+  result.spmd.exec_program = std::move(program).value();
   return result;
+}
+
+uint64_t FingerprintFunc(const Func& func) {
+  // Serve the cached digest while the body version is unchanged; recompute
+  // (and re-cache) after any structural mutation. Capturing the version
+  // before the walk means a mutation racing the hash is never cached.
+  if (std::optional<uint64_t> cached = func.cached_fingerprint()) {
+    return *cached;
+  }
+  const uint64_t version = func.body().version();
+  ByteWriter writer;
+  ModuleSerializer(writer).WriteFunc(func);
+  const uint64_t fingerprint = HashBytes(writer.bytes());
+  func.cache_fingerprint(version, fingerprint);
+  return fingerprint;
 }
 
 }  // namespace persist

@@ -7,11 +7,11 @@
  *
  * The format is a flat little-endian byte stream: values are numbered in
  * definition order (arguments first, then op results, recursing into
- * regions after each op), exactly the scheme the structural fingerprint
- * walks, so operand wiring round-trips as dense indices. Everything the
- * printer or the runtime can observe is preserved bit-for-bit: value
- * names, types, attributes, mesh axes, shardings, per-tactic reports and
- * pipeline statistics.
+ * regions after each op), so operand wiring round-trips as dense indices.
+ * Everything the printer or the runtime can observe is preserved
+ * bit-for-bit: value names, types, attributes, mesh axes, shardings,
+ * per-tactic reports and pipeline statistics. The same bytes fingerprint
+ * a traced function for the partition-cache key (FingerprintFunc).
  *
  * Deserialization never trusts the input: every read is bounds-checked and
  * every enum/range is validated, so a truncated or corrupted payload is a
@@ -91,28 +91,38 @@ std::string SerializeModule(const Module& module);
  *  truncated input. */
 StatusOr<std::unique_ptr<Module>> DeserializeModule(const std::string& bytes);
 
+/**
+ * Fingerprint of a traced function: HashBytes of its serialized bytes, so
+ * it covers everything a saved trace holds — op kinds, operand wiring,
+ * types, attributes (tag names included), regions and every value name.
+ * Two traces with equal fingerprints partition and print identically under
+ * the same (schedule, mesh, options); it is the trace component of the
+ * partition-cache key. Cached on the Func keyed on its body's mutation
+ * version (Block::version), so repeated Partition calls on an unchanged
+ * trace serialize it once; any mutation in the region tree invalidates
+ * the cached digest.
+ */
+uint64_t FingerprintFunc(const Func& func);
+
 // ---- Partition results ----
 
 /**
  * Serializes the full PartitionResult: the device-local SPMD module with
  * mesh and shardings, collective counts, simulator estimate, per-tactic
  * reports, pipeline statistics, recorded conflicts (axis and reason; the
- * op pointer is process-local and restored as null), whether a compiled
- * device program was present, and the static-analysis report with its
- * pipeline counts. Loop-form stages are not stored: Executable::Print
- * recomputes them from the schedule.
+ * op pointer is process-local and restored as null), and the
+ * static-analysis report with its pipeline counts. Loop-form stages are
+ * not stored: Executable::Print recomputes them from the schedule.
  */
 std::string SerializePartitionResult(const PartitionResult& result);
 
 /**
  * Rebuilds a PartitionResult from SerializePartitionResult bytes and
- * recompiles the process-local derived state: the collective plan is
- * rebuilt, and when the saved result carried a compiled device program one
- * is recompiled from the deserialized module (best-effort: a module the
- * compiled backend cannot cover loads with a null program, which every
- * runtime path treats as "compile ad hoc"). kDataLoss on corrupt input,
- * including a well-formed payload whose module does not verify over its
- * mesh.
+ * rebuilds its process-local derived state, the collective plan and the
+ * compiled device program, so a loaded result is as complete as one the
+ * pipeline built. kDataLoss on corrupt input, including a well-formed
+ * payload whose module does not verify over its mesh or does not compile
+ * (a device-local program that is not flat).
  */
 StatusOr<PartitionResult> DeserializePartitionResult(
     const std::string& bytes);

@@ -39,8 +39,10 @@ namespace persist {
  *  v3: PartitionResult no longer carries stage snapshots.
  *  v4: TacticReport no longer carries collective counts or an estimate.
  *  v5: SPMD static_slice bounds are device-local, and the static-analysis
- *      report names the verifier stage. */
-inline constexpr uint32_t kFormatVersion = 5;
+ *      report names the verifier stage.
+ *  v6: PartitionResult no longer carries a has-program flag: every loaded
+ *      result compiles its device program. */
+inline constexpr uint32_t kFormatVersion = 6;
 
 /** What an entry's payload contains. Stored in the header so a file saved
  *  through one facade cannot be misinterpreted by another. */

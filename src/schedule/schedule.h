@@ -118,10 +118,10 @@ struct PartitionOptions {
    */
   std::string cache_dir;
   /**
-   * Run the static analysis suite (src/analysis/: IR lint, shape
-   * consistency, collective deadlock/mismatch detection, memory-plan
-   * verification) as a final pipeline stage. Errors fail the pipeline with a
-   * typed kInternal Status; the full report (warnings included) lands in
+   * Run the static analysis suite (src/analysis/: the IR verifier, lint,
+   * collective deadlock/mismatch detection, memory-plan verification) as a
+   * final pipeline stage. Errors fail the pipeline with a typed kInternal
+   * Status; the full report (warnings included) lands in
    * PartitionResult::analysis and its counts in pipeline_stats(). Defaults
    * on in assertion-enabled builds, like verify_passes. Part of the cache
    * key: a cached result carries the analysis its miss ran, so a request
@@ -139,7 +139,7 @@ struct PartitionResult {
   double partition_seconds = 0;        // total PartIR time (Figure 8)
   std::vector<Conflict> conflicts;     // all recorded conflicts
   /** Per-stage timings, op deltas and collective counts of the pipeline run
-   *  that produced this result (copied verbatim on cache hits). */
+   *  that produced this result (a cache hit shares the result). */
   PipelineStats pipeline;
   /** Findings of the static-analysis stage (PartitionOptions::analyze);
    *  empty when analysis was off or everything was clean. */

@@ -57,18 +57,19 @@ struct SpmdModule {
   /**
    * Precomputed replica groups and attribute parses for every collective op
    * (collectives.h), built once after collective optimization so RunSpmd
-   * does not re-derive device coordinates per call. Null until planned (or
-   * after the module is handed out mutably); RunSpmd then builds one ad
-   * hoc.
+   * does not re-derive device coordinates per call. Every PartitionResult
+   * carries one. Null on a module built by hand or being rewritten; RunSpmd
+   * then builds one ad hoc.
    */
   std::shared_ptr<const CollectivePlan> plan;
 
   /**
    * The compiled flat instruction stream + arena plan of the device-local
    * program (src/exec/device_program.h), built by the
-   * compile-device-programs pipeline pass; null until compiled, and
-   * dropped together with `plan` on any mutable access. Null is always
-   * safe: a compiled-backend Run compiles one ad hoc.
+   * compile-device-programs pipeline stage or the partition-result decoder,
+   * so every PartitionResult carries one. Null until compiled, and dropped
+   * together with `plan` on any mutable access; a compiled-backend RunSpmd
+   * of such a module compiles one ad hoc.
    */
   std::shared_ptr<const exec::DeviceProgram> exec_program;
 
@@ -76,9 +77,10 @@ struct SpmdModule {
 
   /**
    * All mutable access to the lowered module goes through these helpers,
-   * which drop the precomputed collective plan: a pass (or backend) that
-   * rewrites the module can never leave a stale plan behind for the next
-   * Run to walk into.
+   * which drop the precomputed collective plan and compiled program: a
+   * pass that rewrites the module (the optimizer, or a test editing a
+   * private copy) can never leave a stale plan behind for the next Run to
+   * walk into.
    */
   Module& mutable_module() {
     InvalidatePlan();

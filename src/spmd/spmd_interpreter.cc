@@ -216,8 +216,8 @@ StatusOr<std::vector<Tensor>> RunSpmd(const SpmdModule& spmd,
                                       const RunOptions& options) {
   PARTIR_RETURN_IF_ERROR(ValidateSpmdInputs(spmd, global_inputs));
   if (options.backend == ExecBackend::kCompiled) {
-    // Normally compiled once by the compile-device-programs pipeline pass;
-    // hand-built (or mutated) modules are compiled here per Run.
+    // Every PartitionResult carries its compiled program; hand-built (or
+    // rewritten) modules are compiled here per Run.
     std::shared_ptr<const exec::DeviceProgram> program = spmd.exec_program;
     if (program == nullptr) {
       PARTIR_ASSIGN_OR_RETURN(program, exec::CompileDeviceProgram(spmd));
@@ -238,8 +238,8 @@ StatusOr<std::vector<Tensor>> RunSpmd(const SpmdModule& spmd,
   AllocationScope alloc_scope(options.stats != nullptr ? &run_allocs
                                                        : nullptr);
 
-  // Normally precomputed right after collective optimization; modules built
-  // by hand (or mutated through mutable_spmd) are planned here.
+  // Every PartitionResult carries its plan; modules built by hand (or
+  // rewritten through SpmdModule::mutable_main) are planned here.
   std::shared_ptr<const CollectivePlan> local_plan = spmd.plan;
   if (local_plan == nullptr) {
     local_plan = BuildCollectivePlan(spmd.mesh, *spmd.module);

@@ -136,11 +136,10 @@ Executable PartitionedChain() {
       .value();
 }
 
-// The executable's cached exec_program may key another clone's module, so
-// pair the checker with a program compiled from this very module instance.
+// The executable's compiled program, which keys its own module's values.
 std::shared_ptr<const exec::DeviceProgram> CompiledProgram(
     const Executable& exe) {
-  return exec::CompileDeviceProgram(exe.spmd()).value();
+  return exe.spmd().exec_program;
 }
 
 TEST(MemoryCheckerTest, RealPlanVerifiesClean) {

@@ -5,10 +5,10 @@
 // reduce, transpose, broadcast_in_dim) the same way, a count checks that no
 // such instruction of a real workload falls back, and per-element loops
 // check the block copies under slicing, concatenation and (un)sharding.
-// Also covers memory_stats(), ad-hoc compilation after module mutation,
-// cache-hit clones, the worker pool, per-Run allocation stats, typed
-// replica mismatches, the refusal of loop-region modules, and a batcher
-// smoke. This suite runs under the ThreadSanitizer CI job.
+// Also covers memory_stats(), cache hits sharing the compiled program, the
+// worker pool, per-Run allocation stats, typed replica mismatches, the
+// refusal of loop-region modules, and a batcher smoke. This suite runs
+// under the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +20,7 @@
 #include "src/exec/device_program.h"
 #include "src/exec/worker_pool.h"
 #include "src/ir/builder.h"
+#include "src/ir/passes.h"
 #include "src/models/gns.h"
 #include "src/models/schedules.h"
 #include "src/models/serving.h"
@@ -265,49 +266,24 @@ TEST(ExecBackendTest, MemoryStatsReportPlannedArena) {
   EXPECT_EQ(stats.total_arena_bytes, stats.peak_arena_bytes * 4);
 }
 
-// ---- Invalidation, ad-hoc compilation, cache clones ----
+// ---- Cache hits share the compiled program ----
 
-TEST(ExecBackendTest, MutableAccessDropsProgramAndAdHocCompileStillAgrees) {
-  Program program = BuildChainProgram(8, 8, 8);
-  Mesh mesh({{"B", 4}});
-  Executable exe =
-      program.Partition({ManualPartition{"BP", {{"x", 0}}, "B"}}, mesh)
-          .value();
-  ASSERT_NE(exe.spmd().exec_program, nullptr)
-      << "pipeline did not compile a device program";
-  // A backend stand-in touches the module: the compiled program must drop
-  // with the collective plan...
-  exe.mutable_spmd();
-  EXPECT_EQ(exe.spmd().exec_program, nullptr);
-  // ...and a compiled Run recompiles ad hoc, still bit-identical.
-  ExpectBackendsAgree(exe, program.RandomInputs(3), "after invalidation");
-}
-
-TEST(ExecBackendTest, CacheHitClonesShareTheCompiledProgram) {
+TEST(ExecBackendTest, CacheHitsShareTheCompiledProgram) {
   Program program = BuildChainProgram(8, 8, 8);
   Mesh mesh({{"B", 4}});
   std::vector<Tactic> schedule = {ManualPartition{"BP", {{"x", 0}}, "B"}};
   Executable first = program.Partition(schedule, mesh).value();
-  // Same schedule again: a cache hit, deep-cloned. The compiled program is
-  // immutable, so the clone shares it — present, identical to the
-  // original's, and produced with ZERO additional compilations.
-  int64_t compiles_before = exec::CompiledProgramCount();
+  // Same schedule again: a cache hit, which hands out the cached result
+  // itself, compiled program included.
   Executable second = first.Respecialize(schedule).value();
-  EXPECT_EQ(exec::CompiledProgramCount(), compiles_before)
-      << "a cache hit recompiled the device program";
+  EXPECT_EQ(program.cache_stats().hits, 1);
   ASSERT_NE(second.spmd().exec_program, nullptr);
   EXPECT_EQ(second.spmd().exec_program.get(), first.spmd().exec_program.get())
-      << "cache-hit clones should share one immutable program";
+      << "cache hits should share one immutable program";
   std::vector<Tensor> inputs = program.RandomInputs(4);
-  ExpectBackendsAgree(second, inputs, "cache-hit clone");
+  ExpectBackendsAgree(second, inputs, "cache hit");
   ExpectBitIdentical(first.Run(inputs).value(), second.Run(inputs).value(),
-                     "clone vs original");
-  // Mutable access drops the shared program without touching the
-  // original's, and the next compiled Run still agrees bit-for-bit.
-  second.mutable_spmd();
-  EXPECT_EQ(second.spmd().exec_program, nullptr);
-  ASSERT_NE(first.spmd().exec_program, nullptr);
-  ExpectBackendsAgree(second, inputs, "mutated clone");
+                     "hit vs miss");
 }
 
 // ---- Kernel tier: fused elementwise chains ----
@@ -1074,14 +1050,19 @@ TEST(ExecBackendTest, ReplicaMismatchIsAStatusOnBothBackends) {
   Executable exe =
       program.Partition({ManualPartition{"BP", {{"x", 0}}, "B"}}, mesh)
           .value();
-  // The output is sharded over B; claiming it is replicated makes the
-  // four devices' different rows replicas that disagree.
-  exe.mutable_spmd().output_shardings[0] = ValueSharding{AxesPerDim{{}, {}}};
+  // The output is sharded over B; claiming it is replicated, in a private
+  // copy of the module, makes the four devices' different rows replicas
+  // that disagree.
+  SpmdModule spmd;
+  spmd.module = CloneModule(*exe.spmd().module);
+  spmd.mesh = exe.mesh();
+  spmd.input_shardings = exe.spmd().input_shardings;
+  spmd.output_shardings = {ValueSharding{AxesPerDim{{}, {}}}};
   std::vector<Tensor> inputs = program.RandomInputs(68);
   RunOptions sequential;
   sequential.num_threads = 1;
   for (const RunOptions& options : {Walker(), sequential, RunOptions{}}) {
-    StatusOr<std::vector<Tensor>> outputs = exe.Run(inputs, options);
+    StatusOr<std::vector<Tensor>> outputs = RunSpmd(spmd, inputs, options);
     ASSERT_FALSE(outputs.ok());
     EXPECT_EQ(outputs.status().code(), StatusCode::kInternal);
     EXPECT_NE(outputs.status().message().find(

@@ -499,13 +499,15 @@ TEST(VerifierTest, PlacementRules) {
 }
 
 /**
- * Drops, then mistypes, every attribute of the first op of each kind in
- * `spmd`'s module: each mutation must be a Verify error naming that op,
- * never an abort, and restoring the attributes must verify clean again.
+ * Drops, then mistypes, every attribute of the first op of each kind in a
+ * private copy of `spmd`'s module: each mutation must be a Verify error
+ * naming that op, never an abort, and restoring the attributes must verify
+ * clean again.
  */
-void ExpectEveryAttributeIsRequired(SpmdModule& spmd) {
-  Block& body = spmd.mutable_main()->body();
-  ASSERT_TRUE(Verify(*spmd.module, &spmd.mesh).empty());
+void ExpectEveryAttributeIsRequired(const SpmdModule& spmd) {
+  std::unique_ptr<Module> module = CloneModule(*spmd.module);
+  Block& body = module->main()->body();
+  ASSERT_TRUE(Verify(*module, &spmd.mesh).empty());
   std::set<OpKind> seen;
   int mutations = 0;
   for (int i = 0; i < body.num_ops(); ++i) {
@@ -524,7 +526,7 @@ void ExpectEveryAttributeIsRequired(SpmdModule& spmd) {
                              : Attr(int64_t{1}));
       for (const AttrMap& broken : {dropped, mistyped}) {
         op.attrs() = broken;
-        std::vector<std::string> diags = Verify(*spmd.module, &spmd.mesh);
+        std::vector<std::string> diags = Verify(*module, &spmd.mesh);
         ASSERT_FALSE(diags.empty());
         EXPECT_EQ(diags[0].rfind(OpLocation(i, op), 0), 0u) << diags[0];
         EXPECT_NE(diags[0].find(name), std::string::npos) << diags[0];
@@ -533,7 +535,7 @@ void ExpectEveryAttributeIsRequired(SpmdModule& spmd) {
       op.attrs() = original;
     }
   }
-  EXPECT_TRUE(Verify(*spmd.module, &spmd.mesh).empty());
+  EXPECT_TRUE(Verify(*module, &spmd.mesh).empty());
   EXPECT_GE(seen.size(), 10u);
   EXPECT_GT(mutations, 20);
 }
@@ -555,14 +557,14 @@ TEST(VerifierTest, TrainStepAttributesAreAllRequired) {
                        .Partition(schedules::TransformerBPMPZ3(),
                                   Mesh({{"batch", 2}, {"model", 2}}))
                        .value();
-  ExpectEveryAttributeIsRequired(exe.mutable_spmd());
+  ExpectEveryAttributeIsRequired(exe.spmd());
 }
 
 TEST(VerifierTest, TransformerInferAttributesAreAllRequired) {
   serving::ServeWorkload workload = serving::TransformerInferWorkload();
   Program program = Program::Capture(workload.build, 1);
   Executable exe = program.Partition(workload.schedule, workload.mesh).value();
-  ExpectEveryAttributeIsRequired(exe.mutable_spmd());
+  ExpectEveryAttributeIsRequired(exe.spmd());
 }
 
 TEST(PrinterTest, PaperLikeSyntax) {

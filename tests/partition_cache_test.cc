@@ -1,17 +1,16 @@
 // Tests for the Program partition cache: trace fingerprinting, hit/miss
 // keying on (trace, schedule, mesh, options), Respecialize sharing the
-// cache, isolation of the cloned executables a hit hands out, and
-// single-flight coalescing of concurrent misses on one key.
+// cache, hits sharing the miss's immutable result (run concurrently), LRU
+// eviction, and single-flight coalescing of concurrent misses on one key.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "src/api/partir.h"
 #include "src/api/partition_cache.h"
-#include "src/exec/device_program.h"
-#include "src/ir/fingerprint.h"
 #include "src/support/mpmc_queue.h"
 
 namespace partir {
@@ -51,6 +50,35 @@ TEST(TraceFingerprintTest, ArgumentNamesAndShapesMatter) {
   EXPECT_NE(MakeChain().TraceFingerprint(), reshaped.TraceFingerprint());
 }
 
+TEST(TraceFingerprintTest, ValueNamesMatter) {
+  // Two traces that differ only in an intermediate value's name lower to
+  // modules that print differently, so they must not share a cache entry:
+  // a hit would print the other trace's names.
+  auto build = [](const std::string& hidden_name) {
+    Program program("main");
+    Value* x = program.AddInput(TensorType({16, 8}), "x");
+    Value* w1 = program.AddInput(TensorType({8, 12}), "w1");
+    Value* w2 = program.AddInput(TensorType({12, 8}), "w2");
+    OpBuilder& builder = program.builder();
+    Value* hidden = builder.MatMul(x, w1);
+    hidden->set_name(hidden_name);
+    program.Return({builder.MatMul(hidden, w2)});
+    return program;
+  };
+  Program alpha = build("alpha");
+  Program beta = build("beta");
+  EXPECT_NE(alpha.TraceFingerprint(), beta.TraceFingerprint());
+
+  beta.SharePartitionCache(alpha.partition_cache());
+  Mesh mesh({{"B", 4}});
+  (void)alpha.Partition(BpSchedule(), mesh).value();
+  std::string printed =
+      beta.Partition(BpSchedule(), mesh).value().Print(Stage::Spmd()).value();
+  EXPECT_NE(printed.find("beta"), std::string::npos) << printed;
+  EXPECT_EQ(printed.find("alpha"), std::string::npos) << printed;
+  EXPECT_EQ(alpha.cache_stats().misses, 2);
+}
+
 TEST(PartitionCacheTest, RepeatedPartitionIsAHit) {
   Program program = MakeChain();
   Mesh mesh({{"B", 4}, {"M", 2}});
@@ -65,18 +93,14 @@ TEST(PartitionCacheTest, RepeatedPartitionIsAHit) {
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.entries, 1);
 
-  // A hit performs zero device-program compilations: the clone shares the
-  // cached entry's immutable compiled program.
-  int64_t compiles_before = exec::CompiledProgramCount();
   Executable second = program.Partition(BpSchedule(), mesh).value();
-  EXPECT_EQ(exec::CompiledProgramCount(), compiles_before);
   stats = program.cache_stats();
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.entries, 1);
 
-  // The hit serves a clone: independent module, identical behavior.
-  EXPECT_NE(first.spmd().module.get(), second.spmd().module.get());
+  // The hit serves the cached module itself, with identical behavior.
+  EXPECT_EQ(first.spmd().module.get(), second.spmd().module.get());
   std::vector<Tensor> inputs = program.RandomInputs(3);
   std::vector<Tensor> want = first.Run(inputs).value();
   std::vector<Tensor> got = second.Run(inputs).value();
@@ -152,38 +176,78 @@ TEST(PartitionCacheTest, StagesPrintOnACacheHit) {
   EXPECT_EQ(*after_bp, miss.Print(Stage::AfterTactic(0)).value());
 }
 
-TEST(PartitionCacheTest, MutatingOneExecutableDoesNotPoisonTheCache) {
+TEST(PartitionCacheTest, AHitSharesTheMissResultAcrossConcurrentRuns) {
   Program program = MakeChain();
-  Mesh mesh({{"B", 4}});
-  Executable first = program.Partition(BpSchedule(), mesh).value();
-  std::vector<Tensor> inputs = program.RandomInputs(9);
-  std::vector<Tensor> want = first.Run(inputs).value();
-
-  // Deface the first executable's module through the mutable accessor.
-  first.mutable_spmd().module->main()->body().EraseIf(
-      [](const Operation& op) { return op.kind() == OpKind::kReturn; });
-
-  // A hit still serves the pristine cached copy.
-  Executable second = program.Partition(BpSchedule(), mesh).value();
+  Mesh mesh({{"B", 4}, {"M", 2}});
+  Executable miss = program.Partition(BpSchedule(), mesh).value();
+  Executable hit = program.Partition(BpSchedule(), mesh).value();
   EXPECT_EQ(program.cache_stats().hits, 1);
-  std::vector<Tensor> got = second.Run(inputs).value();
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i].data(), got[i].data());
+
+  // The hit hands out the cache entry itself: no module clone, no re-plan,
+  // no recompile.
+  EXPECT_EQ(&hit.spmd(), &miss.spmd());
+  ASSERT_NE(miss.spmd().exec_program, nullptr);
+  EXPECT_EQ(hit.spmd().exec_program, miss.spmd().exec_program);
+  EXPECT_EQ(hit.spmd().plan, miss.spmd().plan);
+
+  // Both executables run the one shared module and program at once, on
+  // device threads and sequentially, with bitwise-equal outputs.
+  std::vector<Tensor> inputs = program.RandomInputs(7);
+  std::vector<Tensor> want = miss.Run(inputs).value();
+  constexpr int kThreads = 4;
+  std::vector<StatusOr<std::vector<Tensor>>> got;
+  for (int t = 0; t < kThreads; ++t) got.emplace_back(InternalError("not run"));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const Executable& exe = t % 2 == 0 ? miss : hit;
+      RunOptions options;
+      options.num_threads = t < 2 ? 0 : 1;
+      for (int round = 0; round < 5; ++round) {
+        got[t] = exe.Run(inputs, options);
+        if (!got[t].ok()) break;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(got[t].ok()) << got[t].status().ToString();
+    ASSERT_EQ(got[t]->size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ((*got[t])[i].data().size(), want[i].data().size());
+      EXPECT_EQ(std::memcmp((*got[t])[i].data().data(), want[i].data().data(),
+                            want[i].data().size() * sizeof(float)),
+                0)
+          << "thread " << t << " output " << i;
+    }
   }
 }
 
 TEST(PartitionCacheTest, LruEvictionBoundsEntries) {
   PartitionCache cache(/*capacity=*/2);
-  auto entry = [] { return std::make_shared<const PartitionResult>(); };
-  cache.Insert("a", entry());
-  cache.Insert("b", entry());
-  EXPECT_NE(cache.Lookup("a"), nullptr);  // refreshes "a"
-  cache.Insert("c", entry());             // evicts "b", the LRU entry
-  EXPECT_EQ(cache.Lookup("b"), nullptr);
-  EXPECT_NE(cache.Lookup("a"), nullptr);
-  EXPECT_NE(cache.Lookup("c"), nullptr);
+  int computes = 0;
+  auto get = [&](const std::string& key) {
+    ASSERT_TRUE(cache
+                    .GetOrCompute(key,
+                                  [&]() -> StatusOr<PartitionResult> {
+                                    ++computes;
+                                    return PartitionResult();
+                                  })
+                    .ok());
+  };
+  get("a");
+  get("b");
+  get("a");  // a hit refreshes "a"
+  get("c");  // evicts "b", the LRU entry
+  EXPECT_EQ(computes, 3);
+  get("a");
+  get("c");
+  EXPECT_EQ(computes, 3);  // both still cached
+  get("b");
+  EXPECT_EQ(computes, 4);  // evicted, so computed again
   PartitionCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 3);
+  EXPECT_EQ(stats.misses, 4);
   EXPECT_EQ(stats.entries, 2);
   EXPECT_EQ(stats.capacity, 2);
 }

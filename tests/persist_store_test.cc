@@ -19,7 +19,9 @@
 
 #include "src/api/partir.h"
 #include "src/api/partition_cache.h"
+#include "src/ir/passes.h"
 #include "src/ir/printer.h"
+#include "src/ir/verifier.h"
 #include "src/persist/serializer.h"
 #include "src/persist/store.h"
 
@@ -110,15 +112,14 @@ TEST(PersistStoreTest, FlippedChecksumByteIsDataLoss) {
 
 TEST(PersistStoreTest, WrongVersionIsAMissNotDamage) {
   // Format 2 partition results still carried stage snapshots, format 3
-  // tactic reports carried collective counts and an estimate, and format 4
-  // SPMD modules kept global static_slice bounds; like any other version,
-  // such an entry must read as a miss.
-  ASSERT_NE(persist::kFormatVersion, 2u);
-  ASSERT_NE(persist::kFormatVersion, 3u);
-  ASSERT_NE(persist::kFormatVersion, 4u);
+  // tactic reports carried collective counts and an estimate, format 4
+  // SPMD modules kept global static_slice bounds, and format 5 results
+  // carried a has-program flag; like any other version, such an entry must
+  // read as a miss.
   for (char low_byte : {static_cast<char>(persist::kFormatVersion ^ 0xFF),
                         static_cast<char>(2), static_cast<char>(3),
-                        static_cast<char>(4)}) {
+                        static_cast<char>(4), static_cast<char>(5)}) {
+    ASSERT_NE(static_cast<uint32_t>(low_byte), persist::kFormatVersion);
     std::string bytes = EncodeEntry(PayloadKind::kModule, "key", "payload");
     // The little-endian format version follows the 8-byte magic.
     bytes[8] = low_byte;
@@ -264,8 +265,6 @@ TEST(PersistDiskTierTest, RestartedProcessHitsDisk) {
     EXPECT_EQ(stats.misses, 1);
     EXPECT_EQ(stats.disk_hits, 0);
     EXPECT_EQ(stats.disk_misses, 1);
-    program.partition_cache()->FlushDiskWrites();
-    stats = program.cache_stats();
     EXPECT_EQ(stats.disk_writes, 1);
     EXPECT_EQ(stats.disk_write_errors, 0);
   }
@@ -293,6 +292,32 @@ TEST(PersistDiskTierTest, RestartedProcessHitsDisk) {
   }
 }
 
+TEST(PersistDiskTierTest, AMissIsOnDiskWhenPartitionReturns) {
+  // The caller that computes a result writes it to disk before its
+  // Partition returns: a fresh program and cache over the same directory
+  // hit it at once, while the first cache is still alive.
+  ScopedDir dir("partir-disk");
+  Mesh mesh({{"B", 4}, {"M", 2}});
+  PartitionOptions options;
+  options.cache_dir = dir.path;
+  Program first = MakeChain();
+  Executable cold = first.Partition(BpSchedule(), mesh, options).value();
+  EXPECT_EQ(first.cache_stats().disk_writes, 1);
+
+  Program second = MakeChain();
+  Executable warm = second.Partition(BpSchedule(), mesh, options).value();
+  PartitionCacheStats stats = second.cache_stats();
+  EXPECT_EQ(stats.disk_hits, 1);
+  EXPECT_EQ(stats.disk_writes, 0);
+  std::vector<Tensor> inputs = first.RandomInputs(11);
+  std::vector<Tensor> want = cold.Run(inputs).value();
+  std::vector<Tensor> got = warm.Run(inputs).value();
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].data(), got[i].data());
+  }
+}
+
 TEST(PersistDiskTierTest, CorruptEntryRecompilesCleanly) {
   ScopedDir dir("partir-disk");
   Mesh mesh({{"B", 4}, {"M", 2}});
@@ -302,7 +327,6 @@ TEST(PersistDiskTierTest, CorruptEntryRecompilesCleanly) {
   {
     Program program = MakeChain();
     program.Partition(BpSchedule(), mesh, options).value();
-    program.partition_cache()->FlushDiskWrites();
   }
   // Flip a byte in the middle of every stored entry.
   int damaged = 0;
@@ -331,8 +355,7 @@ TEST(PersistDiskTierTest, CorruptEntryRecompilesCleanly) {
   EXPECT_EQ(stats.disk_hits, 0);
   EXPECT_EQ(stats.disk_corrupt, 1);
   // And the recompiled result replaces the damaged entry.
-  program.partition_cache()->FlushDiskWrites();
-  EXPECT_EQ(program.cache_stats().disk_writes, 1);
+  EXPECT_EQ(stats.disk_writes, 1);
 
   Program verify = MakeChain();
   verify.Partition(BpSchedule(), mesh, options).value();
@@ -347,7 +370,6 @@ TEST(PersistDiskTierTest, TruncatedEntryIsCorrupt) {
   {
     Program program = MakeChain();
     program.Partition(BpSchedule(), mesh, options).value();
-    program.partition_cache()->FlushDiskWrites();
   }
   for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
     std::filesystem::resize_file(
@@ -377,7 +399,6 @@ TEST(PersistDiskTierTest, EnvironmentVariableEnablesTheTier) {
     Program program = MakeChain();
     program.Partition(BpSchedule(), mesh).value();
     EXPECT_EQ(program.cache_stats().disk_misses, 1);
-    program.partition_cache()->FlushDiskWrites();
     EXPECT_EQ(program.cache_stats().disk_writes, 1);
   }
   {
@@ -408,7 +429,6 @@ TEST(PersistDiskTierTest, ConcurrentProcessesShareOneDirectory) {
         if (!program.Partition(BpSchedule(), mesh, options).ok()) {
           ++failures;
         }
-        program.partition_cache()->FlushDiskWrites();
         corrupt += program.cache_stats().disk_corrupt;
       }
     });
@@ -496,6 +516,36 @@ std::pair<int, std::string> RunLint(const std::string& path) {
   return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, message};
 }
 
+/** A private, mutable copy of `exe`'s result: its module (by CloneModule),
+ *  mesh and shardings, without a plan or compiled program. */
+PartitionResult PrivateCopy(const Executable& exe) {
+  PartitionResult copy;
+  copy.spmd.module = CloneModule(*exe.spmd().module);
+  copy.spmd.mesh = exe.mesh();
+  copy.spmd.input_shardings = exe.spmd().input_shardings;
+  copy.spmd.output_shardings = exe.spmd().output_shardings;
+  return copy;
+}
+
+constexpr char kResultKey[] = "partir-partition-result";
+
+/** Writes `result` to `path` in the Executable::SaveResult file format. */
+Status SaveResultFile(const PartitionResult& result, const std::string& path) {
+  return persist::WriteFileAtomic(
+      path, EncodeEntry(PayloadKind::kPartitionResult, kResultKey,
+                        persist::SerializePartitionResult(result)));
+}
+
+/** Reads a SaveResult file back: the file, its frame, then the result. */
+StatusOr<PartitionResult> LoadResultFile(const std::string& path) {
+  PARTIR_ASSIGN_OR_RETURN(std::string bytes,
+                          persist::ReadFileToString(path));
+  PARTIR_ASSIGN_OR_RETURN(
+      std::string payload,
+      DecodeEntry(bytes, PayloadKind::kPartitionResult, kResultKey));
+  return persist::DeserializePartitionResult(payload);
+}
+
 TEST(PersistFacadeTest, SavedResultThatDoesNotVerifyIsDataLoss) {
   // A well-framed, checksummed SaveResult file whose dot or all_reduce lost
   // its attributes: loading it is a typed kDataLoss, before the collective
@@ -510,16 +560,12 @@ TEST(PersistFacadeTest, SavedResultThatDoesNotVerifyIsDataLoss) {
             .Partition({ManualPartition{"MP", {{"w1", 1}}, "M"}},
                        Mesh({{"B", 4}, {"M", 2}}))
             .value();
-    DropAttributes(*exe.mutable_spmd().mutable_main(), kind);
+    PartitionResult damaged = PrivateCopy(exe);
+    DropAttributes(*damaged.spmd.main(), kind);
     std::string path = StrCat(dir.path, "/", OpKindName(kind), ".bin");
-    ASSERT_TRUE(exe.SaveResult(path).ok());
+    ASSERT_TRUE(SaveResultFile(damaged, path).ok());
 
-    std::string bytes = persist::ReadFileToString(path).value();
-    std::string payload = DecodeEntry(bytes, PayloadKind::kPartitionResult,
-                                      "partir-partition-result")
-                              .value();
-    StatusOr<PartitionResult> restored =
-        persist::DeserializePartitionResult(payload);
+    StatusOr<PartitionResult> restored = LoadResultFile(path);
     ASSERT_FALSE(restored.ok());
     EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
     EXPECT_NE(restored.status().message().find(
@@ -551,19 +597,57 @@ TEST(PersistFacadeTest, SavedResultWithBadShardingsOrMeshIsDataLoss) {
     Program program = MakeChain();
     Executable exe =
         program.Partition(BpSchedule(), Mesh({{"B", 4}, {"M", 2}})).value();
-    damages[i](exe.mutable_spmd());
+    PartitionResult damaged = PrivateCopy(exe);
+    damages[i](damaged.spmd);
     std::string path = StrCat(dir.path, "/shardings", i, ".bin");
-    ASSERT_TRUE(exe.SaveResult(path).ok());
-    std::string bytes = persist::ReadFileToString(path).value();
-    StatusOr<PartitionResult> restored = persist::DeserializePartitionResult(
-        DecodeEntry(bytes, PayloadKind::kPartitionResult,
-                    "partir-partition-result")
-            .value());
+    ASSERT_TRUE(SaveResultFile(damaged, path).ok());
+    StatusOr<PartitionResult> restored = LoadResultFile(path);
     ASSERT_FALSE(restored.ok());
     EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss)
         << restored.status().ToString();
     EXPECT_EQ(RunLint(path).first, 2);
   }
+}
+
+TEST(PersistFacadeTest, SavedResultThatDoesNotCompileIsDataLoss) {
+  // A module that verifies over its mesh but holds a loop region, which the
+  // device compiler refuses: loading it is a typed kDataLoss naming the
+  // loop (a loaded result always carries its compiled program), and the
+  // lint CLI exits 2.
+  ScopedDir dir("partir-facade");
+  PartitionResult result;
+  SpmdModule& spmd = result.spmd;
+  spmd.module = std::make_unique<Module>();
+  spmd.mesh = Mesh({{"B", 2}});
+  Func* func = spmd.module->AddFunc("main");
+  Value* x = func->body().AddArg(TensorType({8, 4}), "x");
+  Value* w = func->body().AddArg(TensorType({4, 6}), "w");
+  OpBuilder builder(&func->body());
+  Operation* tile = builder.Loop("B", 2, "tile", 0, TensorType({8, 6}));
+  Block& body = tile->region(0).block();
+  OpBuilder inner(&body);
+  inner.Yield(&body, {inner.MatMul(inner.PSlice(x, body.arg(0), 0), w)});
+  builder.Return({tile->result()});
+  spmd.input_shardings = {ValueSharding{AxesPerDim{{}, {}}},
+                          ValueSharding{AxesPerDim{{}, {}}}};
+  spmd.output_shardings = {ValueSharding{AxesPerDim{{}, {}}}};
+  std::vector<std::string> diags = Verify(*spmd.module, &spmd.mesh);
+  ASSERT_TRUE(diags.empty()) << diags.front();
+
+  std::string path = dir.path + "/loop.bin";
+  ASSERT_TRUE(SaveResultFile(result, path).ok());
+  StatusOr<PartitionResult> restored = LoadResultFile(path);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(restored.status().message().find("does not compile"),
+            std::string::npos)
+      << restored.status().ToString();
+  EXPECT_NE(restored.status().message().find("op 0 ('loop')"),
+            std::string::npos)
+      << restored.status().ToString();
+  auto [exit_code, message] = RunLint(path);
+  EXPECT_EQ(exit_code, 2) << message;
+  EXPECT_NE(message.find("does not compile"), std::string::npos) << message;
 }
 
 TEST(PersistFacadeTest, SavedProgramThatDoesNotVerifyIsDataLoss) {

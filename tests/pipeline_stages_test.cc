@@ -21,6 +21,17 @@
 namespace partir {
 namespace {
 
+/** A private, mutable copy of a partitioned module: the module (by
+ *  CloneModule), mesh and shardings, without a plan or compiled program. */
+SpmdModule PrivateCopy(const SpmdModule& spmd) {
+  SpmdModule copy;
+  copy.module = CloneModule(*spmd.module);
+  copy.mesh = spmd.mesh;
+  copy.input_shardings = spmd.input_shardings;
+  copy.output_shardings = spmd.output_shardings;
+  return copy;
+}
+
 // ---- The stages of a real partition ----
 
 /** x @ w1 @ w2, the chain the stage tests partition. */
@@ -153,9 +164,9 @@ TEST(PipelineStagesTest, OptimizeFixpointStopsAfterAQuietRound) {
   EXPECT_GT(fuse->changes + form->changes + dce->changes, 0);
   EXPECT_GE(fuse->runs, 2);
   EXPECT_LT(fuse->runs, 8);
-  // That last round left a fixpoint: sweeping the module once more changes
-  // nothing.
-  SpmdModule& spmd = exe.mutable_spmd();
+  // That last round left a fixpoint: sweeping a private copy of the module
+  // once more changes nothing.
+  SpmdModule spmd = PrivateCopy(exe.spmd());
   EXPECT_EQ(RunSpmdPeephole(spmd, kRewriteGatherSlice), 0);
   EXPECT_EQ(RunSpmdPeephole(spmd, kRewriteReduceScatter), 0);
   EXPECT_EQ(EliminateDeadCode(*spmd.mutable_main()), 0);
@@ -321,20 +332,29 @@ TEST(PlanInvalidationTest, MutableAccessDropsTheStalePlan) {
   Executable exe =
       program.Partition({ManualPartition{"BP", {{"x", 0}}, "B"}}, mesh)
           .value();
-  // The pipeline's plan-collectives pass left a plan behind.
+  // The pipeline left a plan and a compiled program behind.
   EXPECT_NE(exe.spmd().plan, nullptr);
-  // Every mutable route drops it.
-  SpmdModule& spmd = exe.mutable_spmd();
+  EXPECT_NE(exe.spmd().exec_program, nullptr);
+  // Every mutable route of a private copy drops the plan, and the program
+  // with it.
+  SpmdModule spmd = PrivateCopy(exe.spmd());
+  spmd.plan = BuildCollectivePlan(spmd.mesh, *spmd.module);
+  spmd.exec_program = exec::CompileDeviceProgram(spmd).value();
+  (void)spmd.mutable_module();
   EXPECT_EQ(spmd.plan, nullptr);
+  EXPECT_EQ(spmd.exec_program, nullptr);
   spmd.plan = BuildCollectivePlan(spmd.mesh, *spmd.module);
   (void)spmd.mutable_main();
   EXPECT_EQ(spmd.plan, nullptr);
   spmd.plan = BuildCollectivePlan(spmd.mesh, *spmd.module);
   RunSpmdPeephole(spmd, kRewriteAllSpmd);  // every sweep drops the plan
   EXPECT_EQ(spmd.plan, nullptr);
-  // Run replans ad hoc and still works.
+  // RunSpmd replans ad hoc and still works on both engines.
   std::vector<Tensor> inputs = program.RandomInputs(3);
-  EXPECT_TRUE(exe.Run(inputs).ok());
+  EXPECT_TRUE(RunSpmd(spmd, inputs).ok());
+  RunOptions walker;
+  walker.backend = ExecBackend::kInterpret;
+  EXPECT_TRUE(RunSpmd(spmd, inputs, walker).ok());
 }
 
 // ---- Bit-identical outputs vs. the pre-refactor pipeline ----

@@ -8,8 +8,8 @@
  *
  * For a saved program the IR verifier and lint run (no mesh, no lowered
  * form). A saved partition result loads only if its module verifies over
- * its mesh (one that does not is a decode failure); then the full suite
- * runs: the verifier stage with the shardings, lint, collective
+ * its mesh and compiles (one that does not is a decode failure); then the
+ * full suite runs: the verifier stage with the shardings, lint, collective
  * deadlock/mismatch detection and memory-plan verification over the
  * recompiled device program.
  *
